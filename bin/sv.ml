@@ -55,17 +55,19 @@ let jobs_arg =
 let ted_cache_arg =
   Arg.(value & opt (some string) None & info [ "ted-cache" ] ~docv:"FILE"
          ~doc:"Persistent TED memo cache file. Loaded before the run (a \
-               missing file is a cold start) and saved back after, so \
-               re-runs over unchanged units skip the tree-edit-distance \
-               DP entirely.")
+               missing or damaged file is a cold start); the distances \
+               the run computed are appended after it, and a run that \
+               computed none writes nothing. Re-runs over unchanged \
+               units skip the tree-edit-distance DP entirely.")
 
 let index_cache_arg =
   Arg.(value & opt (some string) None
        & info [ "index-cache" ]
            ~env:(Cmd.Env.info "SV_INDEX_CACHE") ~docv:"FILE"
            ~doc:"Persistent index cache file. Loaded before the run (a \
-                 missing file is a cold start) and saved back after, so \
-                 re-runs over unchanged sources skip preprocessing, \
+                 missing or damaged file is a cold start); new entries \
+                 are appended after it, and a warm run writes nothing. \
+                 Re-runs over unchanged sources skip preprocessing, \
                  parsing, lowering and interpretation entirely. Keyed on \
                  source digest, defines, dialect and pipeline version — \
                  any change is an automatic miss, never a stale result.")
@@ -75,8 +77,9 @@ let metric_cache_arg =
        & info [ "metric-cache" ]
            ~env:(Cmd.Env.info "SV_METRIC_CACHE") ~docv:"FILE"
            ~doc:"Persistent VP-tree metric-index cache file. Loaded before \
-                 the run (a missing file is a cold start) and saved back \
-                 after, so a re-run of $(b,nearest) over an unchanged \
+                 the run (a missing or damaged file is a cold start); new \
+                 indexes are appended after it, and a warm run writes \
+                 nothing. A re-run of $(b,nearest) over an unchanged \
                  corpus reloads the index with zero build evaluations and \
                  answers byte-identically to a cold build. Keyed on the \
                  corpus digest, metric, variant and schema version — any \
@@ -143,9 +146,18 @@ let fault_arg =
                Also settable via SV_FAULT; hangs are reclaimed after the \
                per-task timeout (SV_TASK_TIMEOUT, default 20s).")
 
+(* Append a cache's new entries to its file and print its ledger line.
+   The line ends "(saved to PATH)" also when the run added nothing and so
+   wrote nothing: its wording does not depend on what was written. *)
+let persist what path stats fresh save =
+  match save () with
+  | () -> Printf.printf "%s, %d new (saved to %s)\n" stats fresh path
+  | exception Sys_error msg ->
+      Printf.eprintf "sv: warning: %s not saved: %s\n" what msg
+
 (* Configure the engines around [f]: resolve the worker count, install
    the fault-injection spec, load/install the persistent TED and index
-   caches, and on the way out save the caches, report any recovery
+   caches, and on the way out persist the caches, report any recovery
    activity and reset both engines so one subcommand cannot leak state
    into a later library use of Tbmd or Index_engine. [f] receives the
    resolved worker count for the indexing fan-out. *)
@@ -177,30 +189,22 @@ let with_engine ?index_cache ?metric_cache ?(ted_algo = `Flat) ~jobs ~ted_cache
       | None -> ());
       let finish () =
         (match (ted_cache, Tbmd.ted_cache ()) with
-        | Some path, Some c -> (
-            match Sv_db.Codebase_db.Ted_cache.save_file path c with
-            | () ->
-                Printf.printf "%s (saved to %s)\n"
-                  (Sv_db.Codebase_db.Ted_cache.stats c) path
-            | exception Sys_error msg ->
-                Printf.eprintf "sv: warning: ted-cache not saved: %s\n" msg)
+        | Some path, Some c ->
+            let module C = Sv_db.Codebase_db.Ted_cache in
+            persist "ted-cache" path (C.stats c) (C.pending c) (fun () ->
+                C.save_file path c)
         | _ -> ());
         (match (index_cache, Sv_core.Index_engine.cache ()) with
-        | Some path, Some c -> (
-            match Sv_db.Index_cache.save_file path c with
-            | () ->
-                Printf.printf "%s (saved to %s)\n" (Sv_db.Index_cache.stats c) path
-            | exception Sys_error msg ->
-                Printf.eprintf "sv: warning: index-cache not saved: %s\n" msg)
+        | Some path, Some c ->
+            let module C = Sv_db.Index_cache in
+            persist "index-cache" path (C.stats c) (C.pending c) (fun () ->
+                C.save_file path c)
         | _ -> ());
         (match (metric_cache, Tbmd.metric_cache ()) with
-        | Some path, Some c -> (
-            match Sv_db.Metric_cache.save_file path c with
-            | () ->
-                Printf.printf "%s (saved to %s)\n" (Sv_db.Metric_cache.stats c)
-                  path
-            | exception Sys_error msg ->
-                Printf.eprintf "sv: warning: metric-cache not saved: %s\n" msg)
+        | Some path, Some c ->
+            let module C = Sv_db.Metric_cache in
+            persist "metric-cache" path (C.stats c) (C.pending c) (fun () ->
+                C.save_file path c)
         | _ -> ());
         (match spec with
         | Some s when not (F.is_none s) ->

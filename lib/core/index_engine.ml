@@ -145,11 +145,12 @@ let indexed_to_msgpack (ix : Pipeline.indexed) =
       M.Arr (List.map unit_info_to_msgpack ix.ix_units);
       opt_to_msgpack coverage_to_msgpack ix.ix_coverage;
       opt_to_msgpack verification_to_msgpack ix.ix_verification;
+      M.Bin ix.ix_key;
     ]
 
 let indexed_of_msgpack = function
   | M.Arr [ M.Str app; M.Str model; M.Str model_name; M.Str lang; M.Arr units;
-            cov; verif ] ->
+            cov; verif; M.Bin key ] ->
       let* lang =
         match lang with
         | "c" -> Ok `C
@@ -176,43 +177,12 @@ let indexed_of_msgpack = function
           ix_units = units;
           ix_coverage = coverage;
           ix_verification = verification;
+          ix_key = key;
           (* the mask memo is a per-process performance artifact, rebuilt
              lazily — never serialised *)
           ix_mask_memo = Hashtbl.create 32;
         }
   | _ -> Error "malformed indexed codebase"
-
-(* --- cache keys ------------------------------------------------------- *)
-
-(* The source digest covers everything that selects or shapes the
-   indexing inputs: identity metadata, the unit list, every file name and
-   content, the system-header mask, and whether the interpreter runs
-   (a run:false payload has no coverage to serve a run:true request). The
-   preprocessor defines and dialect travel as their own key components so
-   invalidation tests can flip them independently. *)
-let codebase_key ~run (cb : Emit.codebase) =
-  let source_digest =
-    Digest.string
-      (M.encode
-         (M.Arr
-            [
-              M.Str cb.Emit.app;
-              M.Str cb.Emit.model;
-              M.Str cb.Emit.model_name;
-              M.Str cb.Emit.main_file;
-              str_list cb.Emit.extra_units;
-              M.Arr
-                (List.map
-                   (fun (name, content) -> M.Arr [ M.Str name; M.Str content ])
-                   cb.Emit.files);
-              str_list cb.Emit.system_headers;
-              M.Bool run;
-            ]))
-  in
-  Index_cache.key ~source_digest
-    ~defines:(List.map (fun (k, v) -> k ^ "=" ^ v) cb.Emit.defines)
-    ~dialect:(match cb.Emit.lang with `C -> "minic" | `F -> "minif")
-    ()
 
 (* --- the engine ------------------------------------------------------- *)
 
@@ -283,7 +253,7 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
   | Some c ->
       Array.iteri
         (fun i cb ->
-          let k = codebase_key ~run cb in
+          let k = Pipeline.codebase_key ~run cb in
           keys.(i) <- k;
           match Index_cache.find c k with
           | None -> ()
@@ -298,7 +268,7 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
     match !cache_ref with
     | None -> ()
     | Some c ->
-        let k = if keys.(i) <> "" then keys.(i) else codebase_key ~run cbs.(i) in
+        let k = if keys.(i) <> "" then keys.(i) else Pipeline.codebase_key ~run cbs.(i) in
         Index_cache.add c k (M.encode (indexed_to_msgpack ix))
   in
   let nmiss = List.length misses in

@@ -13,7 +13,7 @@
       applies unchanged.
     - {b Persistent cache.} When a {!Sv_db.Index_cache} is installed
       ({!set_cache}; the CLI's [--index-cache] / [SV_INDEX_CACHE]),
-      every result is stored under {!codebase_key} and a warm run skips
+      every result is stored under {!Pipeline.codebase_key} and a warm run skips
       preprocessing, parsing, lowering and interpretation wholesale.
     - {b Hash-consed trees} live below, in {!Sv_tree.Hashcons} /
       {!Sv_metrics.Divergence} — decoded or freshly built trees are
@@ -25,12 +25,6 @@ val set_cache : Sv_db.Index_cache.cache option -> unit
     {!index} / {!index_many}. *)
 
 val cache : unit -> Sv_db.Index_cache.cache option
-
-val codebase_key : run:bool -> Sv_corpus.Emit.codebase -> string
-(** The {!Sv_db.Index_cache.key} for one codebase: the source digest
-    spans identity metadata, the unit list, every file name and content,
-    the system-header mask and the [run] flag; defines and dialect are
-    separate key components. Any change to any of them is a miss. *)
 
 type grain = [ `Serial | `Codebase | `Unit ]
 (** How a batch of cache misses is executed: in-process, fanned out at

@@ -3,6 +3,7 @@ module Label = Sv_tree.Label
 module Loc = Sv_util.Loc
 module Coverage = Sv_util.Coverage
 module Emit = Sv_corpus.Emit
+module M = Sv_msgpack.Msgpack
 
 type unit_info = {
   u_file : string;
@@ -30,8 +31,40 @@ type indexed = {
   ix_units : unit_info list;
   ix_coverage : Coverage.t option;
   ix_verification : verification option;
+  ix_key : string;
   ix_mask_memo : (string, Label.tree) Hashtbl.t;
 }
+
+(* The source digest covers everything that selects or shapes the
+   indexing inputs: identity metadata, the unit list, every file name and
+   content, the system-header mask, and whether the interpreter runs
+   (a run:false payload has no coverage to serve a run:true request). The
+   preprocessor defines and dialect travel as their own key components so
+   invalidation tests can flip them independently. *)
+let codebase_key ~run (cb : Emit.codebase) =
+  let strs xs = M.Arr (List.map (fun s -> M.Str s) xs) in
+  let source_digest =
+    Digest.string
+      (M.encode
+         (M.Arr
+            [
+              M.Str cb.Emit.app;
+              M.Str cb.Emit.model;
+              M.Str cb.Emit.model_name;
+              M.Str cb.Emit.main_file;
+              strs cb.Emit.extra_units;
+              M.Arr
+                (List.map
+                   (fun (name, content) -> M.Arr [ M.Str name; M.Str content ])
+                   cb.Emit.files);
+              strs cb.Emit.system_headers;
+              M.Bool run;
+            ]))
+  in
+  Sv_db.Index_cache.key ~source_digest
+    ~defines:(List.map (fun (k, v) -> k ^ "=" ^ v) cb.Emit.defines)
+    ~dialect:(match cb.Emit.lang with `C -> "minic" | `F -> "minif")
+    ()
 
 (* Prune every node located in a system header (§III-C: "those can simply
    be masked out during the analysis phase"). *)
@@ -257,6 +290,7 @@ let index ?(run = true) ?unit_indexer (cb : Emit.codebase) =
     ix_units = units;
     ix_coverage = coverage;
     ix_verification = verification;
+    ix_key = codebase_key ~run cb;
     ix_mask_memo = Hashtbl.create 32;
   }
 

@@ -48,11 +48,21 @@ type indexed = {
   ix_units : unit_info list;
   ix_coverage : Sv_util.Coverage.t option;
   ix_verification : verification option;
+  ix_key : string;
+      (** content key: {!codebase_key} of the sources this was indexed
+          from — equal keys mean equal indexing results, so memos of
+          anything computed from the codebase key on it *)
   ix_mask_memo : (string, Sv_tree.Label.tree) Hashtbl.t;
       (** per-codebase memo of coverage-masked trees, keyed by
           ["<unit file>#<metric tag>"] — masking is pure in (unit,
           metric), so it is computed once instead of once per pair *)
 }
+
+val codebase_key : run:bool -> Sv_corpus.Emit.codebase -> string
+(** The {!Sv_db.Index_cache.key} for one codebase: the source digest
+    spans identity metadata, the unit list, every file name and content,
+    the system-header mask and the [run] flag; defines and dialect are
+    separate key components. Any change to any of them is a new key. *)
 
 val index :
   ?run:bool ->

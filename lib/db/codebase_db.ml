@@ -164,7 +164,7 @@ let load bytes =
 
 module Ted_cache = struct
   type cache = {
-    tbl : (string * string, int) Hashtbl.t;
+    store : Store.t;  (* ordered digest pair (32 bytes) -> decimal distance *)
     mutable additions : (string * string * int) list;
         (** entries recorded since the last {!drain_additions} — the
             journal forked workers ship back to the parent process *)
@@ -172,7 +172,9 @@ module Ted_cache = struct
     mutable misses : int;
   }
 
-  let create () = { tbl = Hashtbl.create 1024; additions = []; hits = 0; misses = 0 }
+  let kind = 'T'
+  let of_store store = { store; additions = []; hits = 0; misses = 0 }
+  let create () = of_store (Store.create ~kind ~schema:schema_version)
 
   (* The digest ignores locations because Label.equal does: two trees
      that TED cannot tell apart must hash to the same key, or a
@@ -180,24 +182,20 @@ module Ted_cache = struct
   let digest t = Digest.string (M.encode (tree_to_msgpack (Label.strip_locs t)))
 
   (* TED under unit costs is symmetric, so the key is the ordered pair. *)
-  let key a b = if String.compare a b <= 0 then (a, b) else (b, a)
+  let ordered a b = if String.compare a b <= 0 then (a, b) else (b, a)
+
+  let key a b =
+    let a, b = ordered a b in
+    a ^ b
 
   let find c a b =
-    match Hashtbl.find_opt c.tbl (key a b) with
+    match Option.bind (Store.find c.store (key a b)) int_of_string_opt with
     | Some d ->
         c.hits <- c.hits + 1;
         Some d
     | None ->
         c.misses <- c.misses + 1;
         None
-
-  let add c a b d =
-    let k = key a b in
-    if not (Hashtbl.mem c.tbl k) then begin
-      Hashtbl.replace c.tbl k d;
-      let ka, kb = k in
-      c.additions <- (ka, kb, d) :: c.additions
-    end
 
   (* Entries arriving here have crossed a worker pipe that may have been
      faulted mid-batch, and a degraded run can hand the same pair over
@@ -208,12 +206,15 @@ module Ted_cache = struct
      or duplicated entry under no failure mode. *)
   let valid_entry a b d = String.length a = 16 && String.length b = 16 && d >= 0
 
+  let add c a b d =
+    if Store.add c.store (key a b) (string_of_int d) then
+      let ka, kb = ordered a b in
+      c.additions <- (ka, kb, d) :: c.additions
+
   let merge c entries =
     List.iter
       (fun (a, b, d) ->
-        if valid_entry a b d then
-          let k = key a b in
-          if not (Hashtbl.mem c.tbl k) then Hashtbl.replace c.tbl k d)
+        if valid_entry a b d then ignore (Store.add c.store (key a b) (string_of_int d)))
       entries
 
   let drain_additions c =
@@ -221,84 +222,21 @@ module Ted_cache = struct
     c.additions <- [];
     xs
 
-  let size c = Hashtbl.length c.tbl
+  let size c = Store.size c.store
+  let pending c = Store.pending c.store
   let hits c = c.hits
   let misses c = c.misses
-
-  let entry_to_msgpack (a, b) d = M.Arr [ M.Bin a; M.Bin b; M.Int d ]
-
-  let entry_of_msgpack = function
-    | M.Arr [ M.Bin a; M.Bin b; M.Int d ] when d >= 0 -> Ok (a, b, d)
-    | _ -> Error "malformed cache entry"
-
-  (* Entries are sorted before serialisation so the artifact is a pure
-     function of the cache contents — two runs that computed the same
-     pairs in different orders write byte-identical files. *)
-  let to_msgpack c =
-    let entries =
-      Hashtbl.fold (fun k d acc -> (k, d) :: acc) c.tbl []
-      |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
-    in
-    M.Map
-      [
-        (M.Str "schema", M.Int schema_version);
-        (M.Str "ted", M.Arr (List.map (fun (k, d) -> entry_to_msgpack k d) entries));
-      ]
-
-  let of_msgpack = function
-    | M.Map fields ->
-        let* schema = get_field fields "schema" in
-        let* () =
-          match schema with
-          | M.Int v when v = schema_version -> Ok ()
-          | M.Int v -> Error (Printf.sprintf "unsupported cache schema %d" v)
-          | _ -> Error "schema not an int"
-        in
-        let* entries_m = get_field fields "ted" in
-        let* entries =
-          match entries_m with
-          | M.Arr es ->
-              List.fold_left
-                (fun acc e ->
-                  let* acc = acc in
-                  let* e = entry_of_msgpack e in
-                  Ok (e :: acc))
-                (Ok []) es
-          | _ -> Error "ted not an array"
-        in
-        let c = create () in
-        List.iter (fun (a, b, d) -> Hashtbl.replace c.tbl (key a b) d) entries;
-        Ok c
-    | _ -> Error "cache root not a map"
-
-  let save c = Sv_svz.Svz.compress (M.encode (to_msgpack c))
+  let save c = Store.save c.store
 
   let load bytes =
-    match Sv_svz.Svz.decompress bytes with
-    | exception Sv_svz.Svz.Corrupt msg -> Error ("corrupt cache: " ^ msg)
-    | raw -> (
-        match M.decode raw with
-        | exception M.Decode_error msg -> Error ("malformed msgpack: " ^ msg)
-        | v -> of_msgpack v)
+    Result.map of_store (Store.load ~kind ~schema:schema_version bytes)
 
-  let save_file path c =
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (save c))
+  let save_file path c = Store.save_file path c.store
 
   (* A missing or damaged cache file is not an error condition for the
      pipeline — it just means a cold start. *)
   let load_file path =
-    if not (Sys.file_exists path) then create ()
-    else
-      let ic = open_in_bin path in
-      let bytes =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match load bytes with Ok c -> c | Error _ -> create ()
+    of_store (Store.load_file ~kind ~schema:schema_version path)
 
   let stats c =
     Printf.sprintf "ted-cache: %d entries, %d hits / %d misses this run"

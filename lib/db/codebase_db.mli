@@ -45,9 +45,8 @@ val stats : t -> string
     Keys are the two trees' structural digests (MD5 of the msgpack tree
     encoding with locations stripped, matching {!Sv_tree.Label.equal}'s
     blindness to locations), ordered so the symmetric distance is stored
-    once. The on-disk format is an SVZ-compressed msgpack map
-    [{schema; ted: \[\[digest₁; digest₂; d\]; ...\]}] with entries
-    sorted by key, so identical contents serialise to identical bytes. *)
+    once. On disk it is a {!Store} log: one record per pair, keyed by the
+    ordered digest pair, so a run appends only the pairs it computed. *)
 module Ted_cache : sig
   type cache
 
@@ -83,16 +82,23 @@ module Ted_cache : sig
   val hits : cache -> int
   val misses : cache -> int
 
+  val pending : cache -> int
+  (** Entries the next {!save_file} will append. *)
+
   val save : cache -> string
-  (** Compressed artifact bytes (deterministic for given contents). *)
+  (** The canonical store image (deterministic for given contents). *)
 
   val load : string -> (cache, string) Result.t
-  (** Decode an artifact produced by {!save}. *)
+  (** Decode an image produced by {!save}. *)
 
   val save_file : string -> cache -> unit
+  (** Append the pairs added since the load; writes nothing when there
+      are none. Raises [Sys_error]. *)
+
   val load_file : string -> cache
-  (** [load_file path] reads a cache file; a missing or corrupt file
-      yields an empty cache (a cold start, never an error). *)
+  (** [load_file path] indexes a cache file; a missing or corrupt file
+      yields what it holds intact, down to an empty cache (a cold start,
+      never an error). *)
 
   val stats : cache -> string
   (** One-line entry/hit/miss summary. *)

@@ -14,7 +14,10 @@
     Invalidation is structural, not explicit: {!key} commits to the
     source digest, the preprocessor defines, the language dialect and
     {!pipeline_version}, so any change produces a different key and the
-    stale entry is simply never found again. *)
+    stale entry is simply never found again.
+
+    Persistence is a typed view over {!Store}: each entry is one record
+    of an append-only log, decompressed only when {!find} returns it. *)
 
 type cache
 
@@ -56,19 +59,25 @@ val size : cache -> int
 val hits : cache -> int
 val misses : cache -> int
 
+val pending : cache -> int
+(** Entries the next {!save_file} will append. *)
+
 val save : cache -> string
-(** Compressed artifact bytes — entries sorted by key, so identical
-    contents serialise to identical bytes. *)
+(** The canonical store image ({!Store.save}) — entries sorted by key,
+    so identical contents serialise to identical bytes. *)
 
 val load : string -> (cache, string) Result.t
-(** Decode an artifact produced by {!save}; corruption, truncation and
+(** Decode an image produced by {!save}; corruption, truncation and
     schema mismatches are [Error]s. *)
 
 val save_file : string -> cache -> unit
+(** Append the entries added since the load ({!Store.save_file}); a run
+    that added nothing writes nothing. Raises [Sys_error]. *)
 
 val load_file : string -> cache
-(** [load_file path] reads a cache file; a missing or corrupt file
-    yields an empty cache (a cold start, never an error). *)
+(** [load_file path] indexes a cache file; a missing, foreign or damaged
+    file yields what it holds intact, down to an empty cache (a cold
+    start, never an error). *)
 
 val stats : cache -> string
 (** One-line entry/hit/miss summary. *)

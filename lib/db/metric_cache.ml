@@ -7,12 +7,14 @@ module Vptree = Sv_metric.Vptree
 let metric_schema = 1
 
 type cache = {
-  tbl : (string, string) Hashtbl.t;  (* 16-byte key -> encoded repr *)
+  store : Store.t;  (* 16-byte key -> encoded repr *)
   mutable hits : int;
   mutable misses : int;
 }
 
-let create () = { tbl = Hashtbl.create 16; hits = 0; misses = 0 }
+let kind = 'M'
+let of_store store = { store; hits = 0; misses = 0 }
+let create () = of_store (Store.create ~kind ~schema:metric_schema)
 
 (* The key commits to everything that can change the persisted tree: the
    corpus digest (which itself spans every codebase's indexed payload, in
@@ -69,23 +71,17 @@ let decode_tree payload =
   | _ -> None
 
 let find c k =
-  match Hashtbl.find_opt c.tbl k with
-  | Some payload -> (
-      match decode_tree payload with
-      | Some t ->
-          c.hits <- c.hits + 1;
-          Some t
-      | None ->
-          c.misses <- c.misses + 1;
-          None)
+  match Option.bind (Store.find c.store k) decode_tree with
+  | Some t ->
+      c.hits <- c.hits + 1;
+      Some t
   | None ->
       c.misses <- c.misses + 1;
       None
 
 let add c k t =
   let payload = encode_tree t in
-  if valid_entry k payload && not (Hashtbl.mem c.tbl k) then
-    Hashtbl.replace c.tbl k payload
+  if valid_entry k payload then ignore (Store.add c.store k payload)
 
 (* Same defensive posture as [Index_cache.merge]: malformed entries are
    dropped and existing keys never overwritten, so merging twice is a
@@ -93,92 +89,19 @@ let add c k t =
 let merge c entries =
   List.iter
     (fun (k, payload) ->
-      if valid_entry k payload && not (Hashtbl.mem c.tbl k) then
-        Hashtbl.replace c.tbl k payload)
+      if valid_entry k payload then ignore (Store.add c.store k payload))
     entries
 
-let size c = Hashtbl.length c.tbl
+let size c = Store.size c.store
+let pending c = Store.pending c.store
 let hits c = c.hits
 let misses c = c.misses
-
-(* Sorted serialisation: the artifact is a pure function of the contents,
-   so runs that populated the cache in different orders write
-   byte-identical files. *)
-let to_msgpack c =
-  let entries =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.tbl []
-    |> List.sort (fun (ka, _) (kb, _) -> String.compare ka kb)
-  in
-  M.Map
-    [
-      (M.Str "schema", M.Int metric_schema);
-      ( M.Str "metric",
-        M.Arr (List.map (fun (k, v) -> M.Arr [ M.Bin k; M.Bin v ]) entries) );
-    ]
-
-let ( let* ) = Result.bind
-
-let of_msgpack = function
-  | M.Map fields -> (
-      let get name =
-        match List.assoc_opt (M.Str name) fields with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "missing field %s" name)
-      in
-      let* schema = get "schema" in
-      let* () =
-        match schema with
-        | M.Int v when v = metric_schema -> Ok ()
-        | M.Int v ->
-            Error (Printf.sprintf "unsupported metric-cache schema %d" v)
-        | _ -> Error "schema not an int"
-      in
-      let* entries_m = get "metric" in
-      match entries_m with
-      | M.Arr es ->
-          let c = create () in
-          let* () =
-            List.fold_left
-              (fun acc e ->
-                let* () = acc in
-                match e with
-                | M.Arr [ M.Bin k; M.Bin v ] when valid_entry k v ->
-                    Hashtbl.replace c.tbl k v;
-                    Ok ()
-                | _ -> Error "malformed metric-cache entry")
-              (Ok ()) es
-          in
-          Ok c
-      | _ -> Error "metric not an array")
-  | _ -> Error "cache root not a map"
-
-let save c = Sv_svz.Svz.compress (M.encode (to_msgpack c))
-
-let load bytes =
-  match Sv_svz.Svz.decompress bytes with
-  | exception Sv_svz.Svz.Corrupt msg -> Error ("corrupt cache: " ^ msg)
-  | raw -> (
-      match M.decode raw with
-      | exception M.Decode_error msg -> Error ("malformed msgpack: " ^ msg)
-      | v -> of_msgpack v)
-
-let save_file path c =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (save c))
+let save c = Store.save c.store
+let load bytes = Result.map of_store (Store.load ~kind ~schema:metric_schema bytes)
+let save_file path c = Store.save_file path c.store
 
 (* A missing or damaged cache file just means a cold start. *)
-let load_file path =
-  if not (Sys.file_exists path) then create ()
-  else
-    let ic = open_in_bin path in
-    let bytes =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match load bytes with Ok c -> c | Error _ -> create ()
+let load_file path = of_store (Store.load_file ~kind ~schema:metric_schema path)
 
 let stats c =
   Printf.sprintf "metric-cache: %d entries, %d hits / %d misses this run"

@@ -2,14 +2,14 @@
 
     Phase 2 of the metric layer: a built {!Sv_metric.Vptree} is a pure
     function of (corpus, metric, variant), so it is persisted exactly
-    like {!Index_cache} payloads — msgpack inside svz, 16-byte digest
-    keys, a schema version, sorted byte-identical serialisation — and
+    like {!Index_cache} payloads — one {!Store} record per tree, msgpack
+    inside svz, 16-byte digest keys, a schema version — and
     reloaded on the next run or daemon restart, making `sv nearest`
     warm across processes: a cache hit performs {e zero} build
     evaluations and answers queries byte-identically to a cold build.
 
-    Defence in depth on the load path: the svz envelope checksums the
-    file, msgpack decoding validates the framing, and
+    Defence in depth on the load path: the store checksums each record,
+    svz and msgpack decoding validate the framing, and
     {!Sv_metric.Vptree.of_repr} re-validates every structural invariant
     of each tree, plus a final check that the element ids are exactly
     0..n−1 (they index the candidate array positionally). Any failure
@@ -48,15 +48,21 @@ val size : cache -> int
 val hits : cache -> int
 val misses : cache -> int
 
-val to_msgpack : cache -> Sv_msgpack.Msgpack.t
-(** Sorted, deterministic: equal contents serialise byte-identically. *)
+val pending : cache -> int
+(** Entries the next {!save_file} will append. *)
 
-val of_msgpack : Sv_msgpack.Msgpack.t -> (cache, string) result
 val save : cache -> string
+(** The canonical store image ({!Store.save}): sorted, deterministic —
+    equal contents serialise byte-identically. *)
+
 val load : string -> (cache, string) result
 
 val save_file : string -> cache -> unit
+(** Append the trees added since the load; writes nothing when there
+    are none. Raises [Sys_error]. *)
+
 val load_file : string -> cache
-(** Missing or corrupt files yield an empty cache (cold start). *)
+(** Missing or corrupt files yield what they hold intact, down to an
+    empty cache (cold start). *)
 
 val stats : cache -> string

@@ -149,7 +149,7 @@ let encode_payload ix = M.encode (Index_engine.indexed_to_msgpack ix)
    [warm] is true iff everything was already decoded and live. *)
 let obtain t cbs =
   let keyed =
-    List.map (fun cb -> (Index_engine.codebase_key ~run:true cb, cb)) cbs
+    List.map (fun cb -> (Pipeline.codebase_key ~run:true cb, cb)) cbs
   in
   let probed = List.map (fun (key, cb) -> (key, cb, Lru.find t.lru key)) keyed in
   let missing =

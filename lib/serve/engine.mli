@@ -4,7 +4,7 @@
     One {!t} owns everything `sv serve` keeps warm between requests:
 
     - a size-bounded {!Sv_db.Lru} of decoded {!Sv_core.Pipeline.indexed}
-      codebases, keyed by {!Sv_core.Index_engine.codebase_key} (so a
+      codebases, keyed by {!Sv_core.Pipeline.codebase_key} (so a
       corpus edit is a structural miss, never a stale hit), spilling
       evicted entries into the index cache;
     - a resident {!Sv_db.Index_cache}, {!Sv_db.Codebase_db.Ted_cache}

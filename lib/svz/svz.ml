@@ -22,6 +22,7 @@ let read_varint s pos =
   let v = ref 0 and shift = ref 0 and pos = ref pos and fin = ref false in
   while not !fin do
     if !pos >= String.length s then raise (Corrupt "truncated varint");
+    if !shift > 56 then raise (Corrupt "varint too long");
     let byte = Char.code s.[!pos] in
     incr pos;
     v := !v lor ((byte land 0x7F) lsl !shift);
@@ -31,16 +32,27 @@ let read_varint s pos =
   (!v, !pos)
 
 let hash4 s i =
-  let b k = Char.code s.[i + k] in
-  (b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)) * 2654435761
+  (Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF) * 2654435761
   land 0xFFFFF
+
+(* The match table is allocated on first use and shared by every later
+   call: filling a fresh 8 MiB table per call cost more than compressing
+   a small input. Slots hold absolute positions [base + i], and each call
+   starts at a [base] above every position stored before, so a slot below
+   [base] is empty — exactly what a fresh table filled with -1 would say.
+   Lazily, because most processes never compress. *)
+let table = ref [||]
+let next_base = ref 0
 
 let compress s =
   let n = String.length s in
   let out = Buffer.create (n / 2 + 16) in
   Buffer.add_string out magic;
   add_varint out n;
-  let table = Array.make 0x100000 (-1) in
+  if Array.length !table = 0 then table := Array.make 0x100000 (-1);
+  let table = !table in
+  let base = !next_base in
+  next_base := base + n;
   let lit_start = ref 0 in
   let flush_literals upto =
     (* Emit pending literals in runs of at most 128. *)
@@ -57,12 +69,12 @@ let compress s =
   while !i < n do
     if !i + min_match <= n then begin
       let h = hash4 s !i in
-      let cand = table.(h) in
-      table.(h) <- !i;
+      let cand = table.(h) - base in
+      table.(h) <- base + !i;
       let ok =
         cand >= 0
         && !i - cand <= max_dist
-        && String.sub s cand min_match = String.sub s !i min_match
+        && Int32.equal (String.get_int32_le s cand) (String.get_int32_le s !i)
       in
       if ok then begin
         (* Extend the match as far as allowed. *)
@@ -82,7 +94,7 @@ let compress s =
         let stop = min (!i + !len) (n - min_match) in
         let j = ref (!i + 1) in
         while !j < stop do
-          table.(hash4 s !j) <- !j;
+          table.(hash4 s !j) <- base + !j;
           j := !j + 2
         done;
         i := !i + !len;
@@ -100,34 +112,46 @@ let decompress s =
   if String.length s < len_magic || String.sub s 0 len_magic <> magic then
     raise (Corrupt "bad magic");
   let orig_len, pos = read_varint s len_magic in
-  let out = Buffer.create orig_len in
-  let pos = ref pos in
   let n = String.length s in
+  (* A 3-byte match token yields at most [max_match] bytes and a literal
+     run fewer bytes than it occupies, so a header claiming more than the
+     token stream could produce is damage: reject it before allocating. *)
+  let stream = n - pos in
+  if orig_len < 0 || orig_len > (stream / 3 * max_match) + stream then
+    raise (Corrupt "length exceeds token stream");
+  let out = Bytes.create orig_len in
+  let o = ref 0 in
+  let pos = ref pos in
   while !pos < n do
     let tag = Char.code s.[!pos] in
     incr pos;
     if tag land 0x80 = 0 then begin
       let len = tag + 1 in
       if !pos + len > n then raise (Corrupt "truncated literal run");
-      Buffer.add_substring out s !pos len;
-      pos := !pos + len
+      if !o + len > orig_len then raise (Corrupt "length mismatch");
+      Bytes.blit_string s !pos out !o len;
+      pos := !pos + len;
+      o := !o + len
     end
     else begin
       if !pos + 2 > n then raise (Corrupt "truncated match");
       let len = (tag land 0x7F) + min_match in
       let dist = (Char.code s.[!pos] lsl 8) lor Char.code s.[!pos + 1] in
       pos := !pos + 2;
-      let here = Buffer.length out in
-      if dist = 0 || dist > here then raise (Corrupt "invalid distance");
-      (* Overlapping copies are valid (RLE-style), so copy byte by byte. *)
-      for k = 0 to len - 1 do
-        Buffer.add_char out (Buffer.nth out (here - dist + k))
-      done
+      if dist = 0 || dist > !o then raise (Corrupt "invalid distance");
+      if !o + len > orig_len then raise (Corrupt "length mismatch");
+      let from = !o - dist in
+      if dist >= len then Bytes.blit out from out !o len
+      else
+        (* Overlapping copies are valid (RLE-style): byte by byte. *)
+        for k = 0 to len - 1 do
+          Bytes.unsafe_set out (!o + k) (Bytes.unsafe_get out (from + k))
+        done;
+      o := !o + len
     end
   done;
-  let result = Buffer.contents out in
-  if String.length result <> orig_len then raise (Corrupt "length mismatch");
-  result
+  if !o <> orig_len then raise (Corrupt "length mismatch");
+  Bytes.unsafe_to_string out
 
 let ratio s =
   if String.length s = 0 then 1.0

@@ -14,14 +14,18 @@
 
 val compress : string -> string
 (** [compress s] never fails; worst case the output is a fraction larger
-    than the input (pure literal runs plus header). *)
+    than the input (pure literal runs plus header). The output is a pure
+    function of [s]: the match table is shared across calls (allocated
+    on first use), never its contents. *)
 
 exception Corrupt of string
 (** Raised by {!decompress} on malformed input. *)
 
 val decompress : string -> string
 (** [decompress (compress s) = s] for all [s]. Raises {!Corrupt} when the
-    magic, lengths, or back-references are inconsistent. *)
+    magic, lengths, or back-references are inconsistent — including a
+    declared length larger than the token stream could expand to, which
+    is rejected before any output is allocated. *)
 
 val ratio : string -> float
 (** [ratio s] is [compressed length / original length] (1.0 for the empty

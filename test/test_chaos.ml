@@ -314,6 +314,224 @@ let test_daemon_under_faults () =
   | _, Unix.WEXITED 0 -> ()
   | _ -> Alcotest.fail "daemon exited abnormally"
 
+(* --- the persistent store under crashes and concurrent writers --- *)
+
+module Index_cache = Sv_db.Index_cache
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let d16 i = Digest.string (string_of_int i)
+
+let with_temp f =
+  let path = Filename.temp_file "sv_chaos_store" ".log" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let reap pid =
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "child writer exited abnormally"
+
+(* A writer is SIGKILLed between the two halves of its append. The torn
+   tail must be ignored, every earlier record must load, and the next
+   save must compact instead of appending after the garbage. *)
+let test_store_killed_mid_append () =
+  with_temp @@ fun path ->
+  let c = Ted_cache.create () in
+  for i = 0 to 9 do Ted_cache.add c (d16 i) (d16 (i + 100)) i done;
+  Ted_cache.save_file path c;
+  let committed = read_file path in
+  (* the exact batch a writer would append, produced on a copy *)
+  let batch =
+    with_temp @@ fun copy ->
+    write_file copy committed;
+    let w = Ted_cache.load_file copy in
+    for i = 10 to 39 do Ted_cache.add w (d16 i) (d16 (i + 100)) i done;
+    Ted_cache.save_file copy w;
+    let all = read_file copy in
+    String.sub all (String.length committed) (String.length all - String.length committed)
+  in
+  let ready_r, ready_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0 in
+      ignore (Unix.write_substring fd batch 0 (String.length batch / 2));
+      ignore (Unix.write_substring ready_w "x" 0 1);
+      Unix.sleep 60;
+      Unix._exit 0
+  | pid ->
+      Unix.close ready_w;
+      ignore (Unix.read ready_r (Bytes.create 1) 0 1);
+      Unix.close ready_r;
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      checkb "the file holds a torn tail" true
+        (String.length (read_file path) > String.length committed);
+      let c' = Ted_cache.load_file path in
+      checki "earlier records load, the torn tail is ignored" 10 (Ted_cache.size c');
+      for i = 0 to 9 do
+        checkb "earlier record intact" true (Ted_cache.find c' (d16 i) (d16 (i + 100)) = Some i)
+      done;
+      Ted_cache.add c' (d16 50) (d16 150) 50;
+      Ted_cache.save_file path c';
+      Alcotest.(check string)
+        "the next save compacts to the canonical image" (Ted_cache.save c')
+        (read_file path)
+
+(* Two forked writers load the same state, then save at the same moment.
+   Batches are large enough (about 100 KB) that one write is several
+   system calls. The union of their entries must survive, with no record
+   torn, both from a missing file and from an existing one. *)
+let test_store_two_writers () =
+  let payload i = String.init 10_000 (fun j -> Char.chr ((i * 7919 + j * 31 + (j * j)) land 0xFF)) in
+  let run ~existing =
+    with_temp @@ fun path ->
+    if existing then begin
+      let c = Index_cache.create () in
+      for i = 0 to 4 do Index_cache.add c (d16 i) (payload i) done;
+      Index_cache.save_file path c
+    end
+    else Sys.remove path;
+    let go_r, go_w = Unix.pipe () in
+    let spawn lo hi =
+      match Unix.fork () with
+      | 0 ->
+          Unix.close go_w;
+          let c = Index_cache.load_file path in
+          for i = lo to hi do Index_cache.add c (d16 i) (payload i) done;
+          (* a key both writers add *)
+          Index_cache.add c (d16 999) (payload 999);
+          ignore (Unix.read go_r (Bytes.create 1) 0 1);
+          Index_cache.save_file path c;
+          Unix._exit 0
+      | pid -> pid
+    in
+    let a = spawn 100 109 and b = spawn 200 209 in
+    Unix.close go_r;
+    ignore (Unix.write_substring go_w "go" 0 2);
+    Unix.close go_w;
+    reap a;
+    reap b;
+    let c = Index_cache.load_file path in
+    let expect = List.init 10 (fun i -> 100 + i) @ List.init 10 (fun i -> 200 + i) @ [ 999 ] in
+    let expect = if existing then List.init 5 Fun.id @ expect else expect in
+    checki "union of both writers" (List.length expect) (Index_cache.size c);
+    List.iter
+      (fun i ->
+        checkb "entry intact" true (Index_cache.find c (d16 i) = Some (payload i)))
+      expect;
+    checkb "every batch whole: the file loads strictly" true
+      (Result.is_ok (Index_cache.load (read_file path)))
+  in
+  run ~existing:false;
+  run ~existing:true
+
+(* --- the CLI over the store --- *)
+
+let sv_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sv.exe"
+
+let run_sv args =
+  let out = Filename.temp_file "sv_chaos_out" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process sv_exe (Array.of_list (sv_exe :: args)) Unix.stdin fd devnull
+  in
+  Unix.close fd;
+  Unix.close devnull;
+  let status = match Unix.waitpid [] pid with _, Unix.WEXITED n -> n | _ -> -1 in
+  (status, read_file out)
+
+let compare_args ~ted ~index =
+  [ "compare"; "-a"; "babelstream-f"; "-b"; "sequential"; "-t"; "omp"; "-j"; "1";
+    "--ted-cache"; ted; "--index-cache"; index ]
+
+let ledger_free out =
+  String.split_on_char '\n' out
+  |> List.filter (fun l ->
+         not (List.exists (fun p -> String.starts_with ~prefix:p l)
+                [ "ted-cache: "; "index-cache: " ]))
+  |> String.concat "\n"
+
+(* An all-hit compare must not write either cache file: same bytes, same
+   modification time. *)
+let test_cli_noop_run () =
+  with_temp @@ fun ted ->
+  with_temp @@ fun index ->
+  let status, cold = run_sv (compare_args ~ted ~index) in
+  checki "cold run exits 0" 0 status;
+  let ted_bytes = read_file ted and index_bytes = read_file index in
+  checkb "cold run stored entries" true
+    (String.length ted_bytes > 0 && String.length index_bytes > 0);
+  Unix.utimes ted 1_000_000.0 1_000_000.0;
+  Unix.utimes index 1_000_000.0 1_000_000.0;
+  let status, warm = run_sv (compare_args ~ted ~index) in
+  checki "warm run exits 0" 0 status;
+  Alcotest.(check string) "same answer" (ledger_free cold) (ledger_free warm);
+  checkb "warm ledger reports nothing new" true
+    (List.length
+       (List.filter
+          (fun l ->
+            let sub = ", 0 new (saved to " in
+            let n = String.length sub in
+            let rec at i =
+              i + n <= String.length l && (String.sub l i n = sub || at (i + 1))
+            in
+            at 0)
+          (String.split_on_char '\n' warm))
+     = 2);
+  Alcotest.(check string) "ted cache bytes unchanged" ted_bytes (read_file ted);
+  Alcotest.(check string) "index cache bytes unchanged" index_bytes (read_file index);
+  checkb "mtimes unchanged" true
+    ((Unix.stat ted).Unix.st_mtime = 1_000_000.0
+    && (Unix.stat index).Unix.st_mtime = 1_000_000.0)
+
+(* A whole-file cache in the format before the store is a cold start, and
+   the run replaces it with a store image rather than appending to it. *)
+let test_cli_old_format () =
+  with_temp @@ fun ted ->
+  with_temp @@ fun index ->
+  let old_ted =
+    Sv_svz.Svz.compress
+      (M.encode
+         (M.Map
+            [
+              (M.Str "schema", M.Int 1);
+              (M.Str "ted", M.Arr [ M.Arr [ M.Bin (d16 1); M.Bin (d16 2); M.Int 3 ] ]);
+            ]))
+  in
+  write_file ted old_ted;
+  write_file index (Sv_svz.Svz.compress "an old index cache");
+  let status, _ = run_sv (compare_args ~ted ~index) in
+  checki "exits 0" 0 status;
+  List.iter
+    (fun path ->
+      let s = read_file path in
+      checkb "replaced by a store image" true (String.starts_with ~prefix:"SVST" s))
+    [ ted; index ];
+  checkb "the new file loads strictly" true
+    (Result.is_ok (Ted_cache.load (read_file ted)))
+
+(* A cache whose svz length header claims about 2^55 bytes is a cold
+   start, not an out-of-memory crash. *)
+let test_cli_damaged_length_header () =
+  with_temp @@ fun ted ->
+  with_temp @@ fun index ->
+  let damaged = "SVZ1\xff\xff\xff\xff\xff\xff\xff\x3f\x00\x78" in
+  write_file ted damaged;
+  write_file index damaged;
+  let status, out = run_sv (compare_args ~ted ~index) in
+  checki "exits 0" 0 status;
+  let _, reference =
+    with_temp @@ fun t2 -> with_temp @@ fun i2 -> run_sv (compare_args ~ted:t2 ~index:i2)
+  in
+  Alcotest.(check string) "same answer as a fresh cache" (ledger_free reference)
+    (ledger_free out)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -341,5 +559,15 @@ let () =
             test_cache_under_faults;
           Alcotest.test_case "daemon under faults" `Slow
             test_daemon_under_faults;
+        ] );
+      ( "store-chaos",
+        [
+          Alcotest.test_case "writer killed mid-append" `Slow
+            test_store_killed_mid_append;
+          Alcotest.test_case "two concurrent writers" `Slow test_store_two_writers;
+          Alcotest.test_case "all-hit run writes nothing" `Slow test_cli_noop_run;
+          Alcotest.test_case "old format replaced" `Slow test_cli_old_format;
+          Alcotest.test_case "damaged length header" `Slow
+            test_cli_damaged_length_header;
         ] );
     ]

@@ -361,10 +361,10 @@ let test_engine_warm_cache () =
 
 let test_engine_key_invalidation () =
   let cb = List.hd (Sv_corpus.Babelstream.all ()) in
-  let k = Index_engine.codebase_key ~run:true cb in
+  let k = Pipeline.codebase_key ~run:true cb in
   let change name cb' =
     checkb (name ^ " changes the key") true
-      (Index_engine.codebase_key ~run:true cb' <> k)
+      (Pipeline.codebase_key ~run:true cb' <> k)
   in
   change "editing a source file"
     { cb with
@@ -376,9 +376,9 @@ let test_engine_key_invalidation () =
     { cb with Sv_corpus.Emit.defines = ("EXTRA", "1") :: cb.Sv_corpus.Emit.defines };
   change "switching dialect" { cb with Sv_corpus.Emit.lang = `F };
   checkb "disabling the run changes the key" true
-    (Index_engine.codebase_key ~run:false cb <> k);
+    (Pipeline.codebase_key ~run:false cb <> k);
   checkb "same codebase, same key" true
-    (Index_engine.codebase_key ~run:true cb = k)
+    (Pipeline.codebase_key ~run:true cb = k)
 
 let test_engine_corrupt_payload_recomputes () =
   (* an undecodable payload under the right key is treated as a miss and
@@ -386,10 +386,38 @@ let test_engine_corrupt_payload_recomputes () =
   let cb = List.hd (Sv_corpus.Babelstream.all ()) in
   let reference = Pipeline.index cb in
   let cache = Index_cache.create () in
-  Index_cache.add cache (Index_engine.codebase_key ~run:true cb) "garbage";
+  Index_cache.add cache (Pipeline.codebase_key ~run:true cb) "garbage";
   with_cache (Some cache) (fun () ->
       checkb "recomputed identically" true
         (ix_fingerprint (Index_engine.index ~jobs:1 cb) = ix_fingerprint reference))
+
+(* --- the divergence memo --- *)
+
+(* Seeds 144 and 149 of gen:mutate:babelstream:S:4 both generate a
+   variant named m0000-hip, and their mutations keep every count and tree
+   size: a memo keyed on app, model id and sizes answered the second pair
+   with the first one's distance. Against the bundled hip port the true
+   T_sem distances are 0 and 6. *)
+let test_memo_keys_on_content () =
+  let base = find stream "hip" in
+  let variant seed =
+    let app = Printf.sprintf "gen:mutate:babelstream:%d:4" seed in
+    let cbs = Option.get (Sv_core.Apps.corpus_of_app app) in
+    Pipeline.index (Option.get (Sv_core.Apps.find_codebase ~app cbs "m0000-hip"))
+  in
+  let v144 = variant 144 and v149 = variant 149 in
+  let fresh v =
+    Tbmd.clear_memo ();
+    fst (Tbmd.raw_divergence Tbmd.TSem base v)
+  in
+  checki "seed 144 distance" 0 (fresh v144);
+  checki "seed 149 distance" 6 (fresh v149);
+  Tbmd.clear_memo ();
+  ignore (Tbmd.raw_divergence Tbmd.TSem base v144);
+  checki "a warm memo answers the other variant with its own distance" 6
+    (fst (Tbmd.raw_divergence Tbmd.TSem base v149));
+  checkb "re-indexing the same sources reuses the content key" true
+    ((variant 149).Pipeline.ix_key = v149.Pipeline.ix_key)
 
 (* --- dendrogram integration --- *)
 
@@ -497,6 +525,8 @@ let () =
           Alcotest.test_case "corrupt payload recomputes" `Quick
             test_engine_corrupt_payload_recomputes;
         ] );
+      ( "memo",
+        [ Alcotest.test_case "keys on content" `Quick test_memo_keys_on_content ] );
       ( "integration",
         [
           Alcotest.test_case "dendrogram" `Quick test_dendrogram_runs;

@@ -430,6 +430,309 @@ let test_db_pipeline_integration () =
            db'.Cdb.db_units)
   | Error e -> Alcotest.failf "load failed: %s" e
 
+(* --- the append-only store behind all three caches --- *)
+
+module Store = Sv_db.Store
+
+let st_kind = 'X'
+let st_create () = Store.create ~kind:st_kind ~schema:7
+let st_load = Store.load ~kind:st_kind ~schema:7
+let st_load_file = Store.load_file ~kind:st_kind ~schema:7
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let with_temp f =
+  let path = Filename.temp_file "sv_store" ".log" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+let st_of entries =
+  let t = st_create () in
+  List.iter (fun (k, v) -> ignore (Store.add t k v)) entries;
+  t
+
+(* First occurrence of each key, which is what a store must hold. *)
+let first_wins entries =
+  List.fold_left
+    (fun acc (k, v) -> if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
+    [] entries
+
+(* The documented record layout, built by hand: lets the fuzzers plant
+   records whose checksums pass but whose content does not. *)
+let check4 s = String.sub (Digest.string s) 0 4
+
+let record key packed =
+  let b = Buffer.create 64 in
+  Buffer.add_char b 'R';
+  Buffer.add_uint8 b (String.length key);
+  Buffer.add_string b key;
+  Buffer.add_int32_be b (Int32.of_int (String.length packed));
+  Buffer.add_string b packed;
+  let body = Buffer.contents b in
+  body ^ check4 body
+
+let commit n =
+  let b = Bytes.create 5 in
+  Bytes.set b 0 'C';
+  Bytes.set_int32_be b 1 (Int32.of_int n);
+  let body = Bytes.to_string b in
+  body ^ check4 body
+
+let st_header () = String.sub (Store.save (st_create ())) 0 10
+
+let test_store_empty_and_missing () =
+  checki "missing file is empty" 0 (Store.size (st_load_file "/nonexistent/dir/x.log"));
+  with_temp @@ fun path ->
+  checki "0-byte file is empty" 0 (Store.size (st_load_file path));
+  (* an empty store with nothing pending never touches its file *)
+  Store.save_file path (st_load_file path);
+  checki "nothing written" 0 (String.length (read_file path));
+  checkb "strict load rejects an empty string" true (Result.is_error (st_load ""));
+  checkb "strict load rejects a bare header" true (Result.is_error (st_load (st_header ())));
+  checkb "empty image round-trips" true
+    (match st_load (Store.save (st_create ())) with Ok t -> Store.size t = 0 | Error _ -> false)
+
+let test_store_append_only () =
+  with_temp @@ fun path ->
+  let t = st_of [ ("k1", "one"); ("k2", "two") ] in
+  Store.save_file path t;
+  let first = read_file path in
+  checks "a first save into an empty file is the canonical image" (Store.save t) first;
+  checki "nothing pending after a save" 0 (Store.pending t);
+  let t = st_load_file path in
+  checkb "decoded on demand" true (Store.find t "k2" = Some "two");
+  checkb "first wins on add" false (Store.add t "k1" "uno");
+  checkb "new key added" true (Store.add t "k3" "three");
+  checki "one pending" 1 (Store.pending t);
+  Store.save_file path t;
+  let second = read_file path in
+  checkb "the earlier bytes are untouched" true
+    (String.length second > String.length first
+    && String.sub second 0 (String.length first) = first);
+  let t' = st_load_file path in
+  checki "union reloads" 3 (Store.size t');
+  checkb "appended entry" true (Store.find t' "k3" = Some "three");
+  checkb "first value kept" true (Store.find t' "k1" = Some "one")
+
+let test_store_noop_save () =
+  with_temp @@ fun path ->
+  Store.save_file path (st_of [ ("a", "alpha"); ("b", "beta") ]);
+  Unix.utimes path 1_000_000.0 1_000_000.0;
+  let before = read_file path in
+  let t = st_load_file path in
+  ignore (Store.find t "a");
+  checkb "re-adding a present key is refused" false (Store.add t "b" "beta");
+  Store.save_file path t;
+  checks "bytes unchanged" before (read_file path);
+  checkb "mtime unchanged" true ((Unix.stat path).Unix.st_mtime = 1_000_000.0)
+
+let test_store_other_writer_folded_in () =
+  (* two handles on one file: the second save folds the first's entries
+     in, and a key both added resolves to the file's (first) copy *)
+  with_temp @@ fun path ->
+  let a = st_load_file path and b = st_load_file path in
+  ignore (Store.add a "shared" "from-a");
+  ignore (Store.add a "only-a" "a");
+  ignore (Store.add b "shared" "from-b");
+  ignore (Store.add b "only-b" "b");
+  Store.save_file path a;
+  Store.save_file path b;
+  let t = st_load_file path in
+  checki "union of both" 3 (Store.size t);
+  checkb "first writer wins" true (Store.find t "shared" = Some "from-a");
+  checkb "b sees a's entry after its save" true (Store.find b "only-a" = Some "a");
+  checkb "b's copy replaced by the file's" true (Store.find b "shared" = Some "from-a");
+  checkb "the whole file is clean" true (Result.is_ok (st_load (read_file path)))
+
+let test_store_old_format_replaced () =
+  (* a whole-file SVZ1 cache from before the store: a cold start that is
+     rewritten, never appended to *)
+  with_temp @@ fun path ->
+  write_file path (Sv_svz.Svz.compress "an old whole-file cache artifact");
+  let t = st_load_file path in
+  checki "old format is a cold start" 0 (Store.size t);
+  ignore (Store.add t "k" "v");
+  Store.save_file path t;
+  checks "replaced by the canonical image" (Store.save t) (read_file path)
+
+let test_store_torn_tail_compacts () =
+  with_temp @@ fun path ->
+  let t = st_of [ ("k1", "one"); ("k2", "two") ] in
+  let image = Store.save t in
+  (* a half-written second batch after the first *)
+  let torn = record "k3" (Sv_svz.Svz.compress "three") in
+  write_file path (image ^ String.sub torn 0 (String.length torn / 2));
+  let t = st_load_file path in
+  checki "torn tail ignored, earlier records load" 2 (Store.size t);
+  checkb "strict load rejects the torn file" true
+    (Result.is_error (st_load (read_file path)));
+  (* a repair save rewrites even with nothing new *)
+  Store.save_file path t;
+  checks "compacted to the canonical image" image (read_file path)
+
+let test_store_uncommitted_batch_ignored () =
+  (* whole records without their commit are a torn batch too *)
+  with_temp @@ fun path ->
+  let image = Store.save (st_of [ ("k1", "one") ]) in
+  write_file path (image ^ record "k2" (Sv_svz.Svz.compress "two"));
+  let t = st_load_file path in
+  checki "uncommitted record ignored" 1 (Store.size t);
+  checkb "absent" true (Store.find t "k2" = None)
+
+let test_store_dead_bytes_compact () =
+  (* duplicate records (writers without a lock) are dead bytes; once an
+     append would take the file past twice its live bytes, the save
+     compacts instead *)
+  with_temp @@ fun path ->
+  let packed = Sv_svz.Svz.compress (String.make 200 'p') in
+  let dup = record "dup" packed ^ commit 1 in
+  write_file path (st_header () ^ dup ^ dup ^ dup);
+  let t = st_load_file path in
+  checki "duplicates resolve to one entry" 1 (Store.size t);
+  ignore (Store.add t "new" "n");
+  Store.save_file path t;
+  checks "rewritten as the canonical image" (Store.save t) (read_file path);
+  checki "nothing lost" 2 (Store.size (st_load_file path))
+
+let test_store_corrupt_payload_is_absent () =
+  (* a record that passes its checksum but holds a damaged svz payload —
+     here a length header claiming about 2^55 bytes — reads as absent *)
+  let bad = "SVZ1\xff\xff\xff\xff\xff\xff\xff\x3f\x00\x78" in
+  match st_load (st_header () ^ record "k" bad ^ commit 1) with
+  | Error e -> Alcotest.failf "checksummed record rejected: %s" e
+  | Ok t -> checkb "undecodable payload is a miss" true (Store.find t "k" = None)
+
+let gen_store_entries =
+  QCheck.Gen.(
+    list_size (int_bound 30)
+      (pair (string_size (int_range 1 20)) (string_size (int_bound 200))))
+
+let arb_store_entries = QCheck.make gen_store_entries
+
+let prop_store_roundtrip =
+  QCheck.Test.make ~name:"store image round-trip" ~count:200 arb_store_entries
+    (fun entries ->
+      let t = st_of entries in
+      match st_load (Store.save t) with
+      | Error _ -> false
+      | Ok t' ->
+          Store.size t' = Store.size t
+          && List.for_all (fun (k, v) -> Store.find t' k = Some v) (first_wins entries)
+          && Store.save t' = Store.save t)
+
+let prop_store_truncation =
+  QCheck.Test.make ~name:"truncated store image is rejected, log keeps whole batches"
+    ~count:200
+    QCheck.(triple arb_store_entries arb_store_entries (int_bound 100_000))
+    (fun (e1, e2, cut_seed) ->
+      with_temp @@ fun path ->
+      let t = st_of e1 in
+      Store.save_file path t;
+      let t = st_load_file path in
+      List.iter (fun (k, v) -> ignore (Store.add t k v)) e2;
+      Store.save_file path t;
+      let file = read_file path in
+      let cut = cut_seed mod String.length file in
+      let image = Store.save t in
+      let strict_ok =
+        Result.is_error (st_load (String.sub image 0 (cut mod String.length image)))
+      in
+      write_file path (String.sub file 0 cut);
+      let t' = st_load_file path in
+      let all = first_wins (e1 @ e2) and first = first_wins e1 in
+      (* never a torn entry: each batch is there whole or not at all *)
+      strict_ok
+      && List.for_all
+           (fun (k, v) -> match Store.find t' k with None -> true | Some v' -> v = v')
+           all
+      && (Store.size t' = 0 || Store.size t' = List.length first
+         || Store.size t' = List.length all))
+
+let prop_store_bitflip =
+  QCheck.Test.make ~name:"bit-flipped store never yields a wrong entry" ~count:200
+    QCheck.(pair arb_store_entries (pair small_nat small_nat))
+    (fun (entries, (pos_seed, bit)) ->
+      with_temp @@ fun path ->
+      let t = st_of entries in
+      let art = Bytes.of_string (Store.save t) in
+      let pos = pos_seed mod Bytes.length art in
+      Bytes.set art pos (Char.chr (Char.code (Bytes.get art pos) lxor (1 lsl (bit mod 8))));
+      write_file path (Bytes.to_string art);
+      let t' = st_load_file path in
+      Result.is_error (st_load (Bytes.to_string art))
+      && List.for_all
+           (fun (k, v) -> match Store.find t' k with None -> true | Some v' -> v = v')
+           (first_wins entries))
+
+(* Replace the svz length header inside a payload; the record's checksum
+   is recomputed, so only the payload decoder stands between a damaged
+   length and the allocation it claims. *)
+let with_svz_length packed len =
+  let rec skip i = if Char.code packed.[i] land 0x80 = 0 then i + 1 else skip (i + 1) in
+  let rest = skip 4 in
+  let b = Buffer.create 16 in
+  Buffer.add_string b "SVZ1";
+  let n = ref len in
+  while !n >= 0x80 do
+    Buffer.add_char b (Char.chr (!n land 0x7F lor 0x80));
+    n := !n lsr 7
+  done;
+  Buffer.add_char b (Char.chr !n);
+  Buffer.contents b ^ String.sub packed rest (String.length packed - rest)
+
+let prop_store_length_header =
+  QCheck.Test.make ~name:"store payload with a mutated length header is a miss" ~count:200
+    QCheck.(pair (string_of_size (Gen.int_bound 300)) (oneof [ small_nat; int_bound (1 lsl 40); int ]))
+    (fun (payload, len) ->
+      let packed = with_svz_length (Sv_svz.Svz.compress payload) (abs len) in
+      match st_load (st_header () ^ record "k" packed ^ commit 1) with
+      | Error _ -> false
+      | Ok t -> (
+          match Store.find t "k" with
+          | None -> true
+          | Some p -> p = payload && abs len = String.length payload))
+
+let prop_db_length_header =
+  QCheck.Test.make ~name:"codebase db with a mutated length header is rejected"
+    ~count:100
+    QCheck.(oneof [ small_nat; int_bound (1 lsl 40); int ])
+    (fun len ->
+      let art = Cdb.save (sample_db ()) in
+      let raw_len = String.length (Sv_svz.Svz.decompress art) in
+      match Cdb.load (with_svz_length art (abs len)) with
+      | Error _ -> abs len <> raw_len
+      | Ok db -> db = sample_db ())
+
+let prop_db_truncation_bitflip =
+  QCheck.Test.make ~name:"truncated or bit-flipped codebase db never crashes" ~count:200
+    QCheck.(pair (int_bound 100_000) (pair small_nat small_nat))
+    (fun (cut_seed, (pos_seed, bit)) ->
+      let art = Cdb.save (sample_db ()) in
+      let cut = cut_seed mod String.length art in
+      let flipped = Bytes.of_string art in
+      let pos = pos_seed mod Bytes.length flipped in
+      Bytes.set flipped pos
+        (Char.chr (Char.code (Bytes.get flipped pos) lxor (1 lsl (bit mod 8))));
+      Result.is_error (Cdb.load (String.sub art 0 cut))
+      && match Cdb.load (Bytes.to_string flipped) with Error _ | Ok _ -> true)
+
+let test_ted_cache_store_file () =
+  (* the TED view round-trips through a file and appends only new pairs *)
+  with_temp @@ fun path ->
+  let d16 c = String.make 16 c in
+  let c = Tc.load_file path in
+  Tc.add c (d16 'a') (d16 'b') 7;
+  Tc.save_file path c;
+  let c = Tc.load_file path in
+  checkb "reloaded" true (Tc.find c (d16 'b') (d16 'a') = Some 7);
+  checki "warm: nothing pending" 0 (Tc.pending c);
+  Tc.add c (d16 'c') (d16 'a') 3;
+  checki "one pending" 1 (Tc.pending c);
+  Tc.save_file path c;
+  checki "both reload" 2 (Tc.size (Tc.load_file path))
+
 (* --- lru --- *)
 
 module Lru = Sv_db.Lru
@@ -573,6 +876,28 @@ let () =
           Alcotest.test_case "missing/corrupt file is cold start" `Quick
             test_metric_cache_load_file_missing;
         ] );
+      ( "store",
+        [
+          Alcotest.test_case "empty and missing files" `Quick test_store_empty_and_missing;
+          Alcotest.test_case "saves append only" `Quick test_store_append_only;
+          Alcotest.test_case "no-op save writes nothing" `Quick test_store_noop_save;
+          Alcotest.test_case "another writer is folded in" `Quick
+            test_store_other_writer_folded_in;
+          Alcotest.test_case "old format is replaced" `Quick test_store_old_format_replaced;
+          Alcotest.test_case "torn tail compacts" `Quick test_store_torn_tail_compacts;
+          Alcotest.test_case "uncommitted batch ignored" `Quick
+            test_store_uncommitted_batch_ignored;
+          Alcotest.test_case "dead bytes compact" `Quick test_store_dead_bytes_compact;
+          Alcotest.test_case "corrupt payload is absent" `Quick
+            test_store_corrupt_payload_is_absent;
+          Alcotest.test_case "ted view on a file" `Quick test_ted_cache_store_file;
+        ] );
+      ( "store-fuzz",
+        List.map
+          (QCheck_alcotest.to_alcotest ~speed_level:`Quick)
+          [ prop_store_roundtrip; prop_store_truncation; prop_store_bitflip;
+            prop_store_length_header; prop_db_length_header;
+            prop_db_truncation_bitflip ] );
       ( "lru",
         [
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
