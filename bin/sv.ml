@@ -100,18 +100,6 @@ let epsilon_arg =
                so every reported rank-i distance is at most (1+E) times \
                the true one. 0 keeps the search exact.")
 
-let ted_algo_arg =
-  Arg.(
-    value
-    & opt (enum [ ("flat", `Flat); ("zs", `Zs) ]) `Flat
-    & info [ "ted-algo" ] ~docv:"ALGO"
-        ~doc:
-          "Tree-edit-distance kernel: $(b,flat) (default) compiles each \
-           distinct tree once into contiguous int arrays and runs the \
-           allocation-free kernel with per-pair strategy selection and a \
-           pruning cascade; $(b,zs) is the pointer-tree Zhang\xE2\x80\x93Shasha \
-           reference. Both produce identical distances.")
-
 let stats_arg =
   Arg.(
     value & flag
@@ -120,20 +108,6 @@ let stats_arg =
           "Print TED engine counters after the run: pairs pruned by the \
            digest/size/histogram cascade, DP runs and abandons, flat \
            compiles, and left/right strategy picks.")
-
-let pivots_arg =
-  Arg.(value & opt (some int) None & info [ "pivots" ] ~docv:"K"
-         ~doc:"Triangle-bounded matrix evaluation with exactly K pivots: \
-               pivot rows are computed exactly, every remaining pair is \
-               bracketed by the triangle inequality and only runs the \
-               (bounded) DP when the bracket cannot resolve it. Output is \
-               byte-identical to the exhaustive evaluation.")
-
-let metric_index_arg =
-  Arg.(value & flag
-       & info [ "metric-index" ]
-           ~doc:"Shorthand for --pivots with the automatic pivot count \
-                 (about the square root of the model count).")
 
 let fault_arg =
   Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC"
@@ -161,8 +135,7 @@ let persist what path stats fresh save =
    activity and reset both engines so one subcommand cannot leak state
    into a later library use of Tbmd or Index_engine. [f] receives the
    resolved worker count for the indexing fan-out. *)
-let with_engine ?index_cache ?metric_cache ?(ted_algo = `Flat) ~jobs ~ted_cache
-    ~fault f =
+let with_engine ?index_cache ?metric_cache ~jobs ~ted_cache ~fault f =
   let module F = Sv_sched.Sched.Fault in
   match
     match fault with
@@ -172,7 +145,6 @@ let with_engine ?index_cache ?metric_cache ?(ted_algo = `Flat) ~jobs ~ted_cache
   | Error e -> fail "--fault: %s" e
   | Ok spec ->
       (match spec with Some s -> F.set s | None -> ());
-      Sv_metrics.Divergence.set_ted_algo ted_algo;
       let jobs = if jobs <= 0 then Sv_sched.Sched.default_jobs () else jobs in
       Tbmd.set_jobs jobs;
       (match ted_cache with
@@ -215,8 +187,7 @@ let with_engine ?index_cache ?metric_cache ?(ted_algo = `Flat) ~jobs ~ted_cache
         Sv_core.Index_engine.set_cache None;
         Tbmd.set_metric_cache None;
         Tbmd.set_ted_cache None;
-        Tbmd.set_jobs 1;
-        Sv_metrics.Divergence.set_ted_algo `Flat
+        Tbmd.set_jobs 1
       in
       (match f jobs with
       | r ->
@@ -351,12 +322,11 @@ let inspect_cmd =
     Term.(ret (const run $ path))
 
 let compare_cmd =
-  let run app base target jobs ted_cache index_cache fault ted_algo stats =
+  let run app base target jobs ted_cache index_cache fault stats =
     with_app app (fun cbs ->
         match (find_codebase ~app cbs base, find_codebase ~app cbs target) with
         | Some b, Some t ->
-            with_engine ?index_cache ~ted_algo ~jobs ~ted_cache ~fault
-            @@ fun jobs ->
+            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun jobs ->
             if stats then Sv_perf.Telemetry.reset_ted ();
             let bix, tix =
               match Sv_core.Index_engine.index_many ~jobs [ b; t ] with
@@ -377,39 +347,17 @@ let compare_cmd =
         (const run $ app_arg
         $ model_arg [ "base"; "b" ] "Base model id (the port's origin)."
         $ model_arg [ "target"; "t" ] "Target model id."
-        $ jobs_arg $ ted_cache_arg $ index_cache_arg $ fault_arg $ ted_algo_arg
-        $ stats_arg))
+        $ jobs_arg $ ted_cache_arg $ index_cache_arg $ fault_arg $ stats_arg))
 
 let cluster_cmd =
-  let run app metric jobs ted_cache index_cache fault ted_algo pivots metric_index =
+  let run app metric jobs ted_cache index_cache fault =
     match Tbmd.metric_of_string metric with
     | None -> fail "unknown metric %S" metric
     | Some m ->
         with_app app (fun cbs ->
-            let conf =
-              match (pivots, metric_index) with
-              | Some k, _ -> Tbmd.Pivots k
-              | None, true -> Tbmd.Pivots_auto
-              | None, false -> Tbmd.Pivots_off
-            in
-            Tbmd.set_pivots conf;
-            Fun.protect ~finally:(fun () -> Tbmd.set_pivots Tbmd.Pivots_off)
-            @@ fun () ->
-            with_engine ?index_cache ~ted_algo ~jobs ~ted_cache ~fault
-            @@ fun jobs ->
+            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun jobs ->
             let ixs = Sv_core.Index_engine.index_many ~jobs cbs in
             print_string (Engine.render_cluster m ixs);
-            (match Tbmd.pivot_stats () with
-            | Some s ->
-                Printf.printf
-                  "metric index: %d pivots, %d of %d pairs exact, %d \
-                   interval, %d clamp, %d bounded\n"
-                  (Array.length s.Sv_metric.Pivots.pivots)
-                  s.Sv_metric.Pivots.pivot_pairs s.Sv_metric.Pivots.pairs
-                  s.Sv_metric.Pivots.resolved_interval
-                  s.Sv_metric.Pivots.resolved_clamp
-                  s.Sv_metric.Pivots.bounded_pairs
-            | None -> ());
             `Ok ())
   in
   Cmd.v
@@ -418,8 +366,7 @@ let cluster_cmd =
     Term.(
       ret
         (const run $ app_arg $ metric_arg $ jobs_arg $ ted_cache_arg
-        $ index_cache_arg $ fault_arg $ ted_algo_arg $ pivots_arg
-        $ metric_index_arg))
+        $ index_cache_arg $ fault_arg))
 
 let nearest_cmd =
   let run app model k metric budget epsilon jobs ted_cache index_cache

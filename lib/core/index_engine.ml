@@ -217,13 +217,8 @@ let decode_indexed_list = function
    codebases clears a floor; below it the serial loop is the fast path,
    not a fallback. An explicit [?chunk] argument bypasses the heuristic
    (the caller is asking for the parallel shape, e.g. conformance
-   tests). Override the floor with SV_INDEX_GRAIN_BYTES. *)
+   tests). *)
 let default_grain_bytes = 16384
-
-let grain_bytes () =
-  match Sys.getenv_opt "SV_INDEX_GRAIN_BYTES" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default_grain_bytes)
-  | None -> default_grain_bytes
 
 let source_bytes (cb : Emit.codebase) =
   List.fold_left (fun acc (_, c) -> acc + String.length c) 0 cb.Emit.files
@@ -237,7 +232,7 @@ let plan_grain ~jobs ?chunk (misses : Emit.codebase list) : grain =
     if chunk <> None then `Codebase
     else begin
       let total = List.fold_left (fun acc cb -> acc + source_bytes cb) 0 misses in
-      if total / nmiss < grain_bytes () then `Serial else `Codebase
+      if total / nmiss < default_grain_bytes then `Serial else `Codebase
     end
   else `Unit
 

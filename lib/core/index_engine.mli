@@ -35,10 +35,9 @@ val plan_grain :
 (** The grain {!index_many} will pick for the given {e missing}
     codebases. Serial when [jobs <= 1] or a single miss — and also when
     there are enough misses for the codebase-grain fan-out but their
-    average source size is below the IPC floor (default 16 KiB,
-    override with [SV_INDEX_GRAIN_BYTES]): shipping a fully indexed
-    small codebase through the fork pipe and decoding it in the parent
-    costs more than indexing it in-process (the PR 8 corpus-study
+    average source size is below the IPC floor (16 KiB): shipping a
+    fully indexed small codebase through the fork pipe and decoding it
+    in the parent costs more than indexing it in-process (the PR 8 corpus-study
     regression, jobs=2 at 4.5× serial on 1000 tiny generated units). An
     explicit [?chunk] bypasses the floor — the caller is asking for the
     parallel shape. Exposed so benches and tests can assert which path a

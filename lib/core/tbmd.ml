@@ -104,18 +104,6 @@ let engine_cache : Db.Ted_cache.cache option ref = ref None
 let set_ted_cache c = engine_cache := c
 let ted_cache () = !engine_cache
 
-(* Triangle-bounded matrix evaluation (lib/metric): off by default; auto
-   picks ⌈√n⌉ pivots. Applies to tree metrics only (the others are
-   near-free to evaluate exhaustively) and schedules in-process — when
-   both pivots and jobs>1 are configured, pivots win. *)
-type pivot_conf = Pivots_off | Pivots_auto | Pivots of int
-
-let engine_pivots = ref Pivots_off
-let set_pivots p = engine_pivots := p
-let pivots () = !engine_pivots
-let last_pivot_stats : Sv_metric.Pivots.stats option ref = ref None
-let pivot_stats () = !last_pivot_stats
-
 (* When set, [vp_index] first probes the persistent metric cache for a
    VP-tree persisted under this corpus/metric/variant, and records cold
    builds into it — `sv nearest` and the daemon's nearest verb become
@@ -194,24 +182,6 @@ and raw_divergence_uncached ?(variant = Base) metric c1 c2 =
           | None, None -> (d, dmax))
         (0, 0) (unit_pairs c1 c2)
 
-(* Admissible codebase-level lower bound for tree metrics: per matched
-   slot the flat summary bound, unmatched units at full size — each slot
-   term bounds its slot distance from below, so the sum bounds the raw
-   divergence. Never runs a DP. *)
-let codebase_lower ~variant metric c1 c2 =
-  List.fold_left
-    (fun acc pair ->
-      match pair with
-      | Some u1, Some u2 ->
-          acc
-          + Div.tree_lower_bound
-              (tree_of metric variant c1 u1)
-              (tree_of metric variant c2 u2)
-      | Some u1, None -> acc + Tree.size (tree_of metric variant c1 u1)
-      | None, Some u2 -> acc + Tree.size (tree_of metric variant c2 u2)
-      | None, None -> acc)
-    0 (unit_pairs c1 c2)
-
 (* Bounded raw divergence for tree metrics: the per-slot bounded kernel
    with the remaining budget as its cutoff. [Some d] iff the exact raw
    divergence is [d ≤ cutoff]; a [None] from any slot proves the running
@@ -284,6 +254,15 @@ let pair_result_of_msgpack = function
       (dij, dmaxij, adds)
   | _ -> failwith "Tbmd: malformed pair result"
 
+let warm_trees metric variant codebases =
+  match metric with
+  | TSrc | TSem | TSemI | TIr ->
+      Index_engine.warm_ted
+        (List.concat_map
+           (fun c -> List.map (fun u -> tree_of metric variant c u) c.ix_units)
+           codebases)
+  | SLOC | LLOC | Source -> ()
+
 let matrix ?(variant = Base) metric codebases =
   (* every raw distance (TED, O(NP), |ΔSLOC|) is symmetric; only dmax is
      directional, so each unordered pair is computed once *)
@@ -302,64 +281,14 @@ let matrix ?(variant = Base) metric codebases =
       incr idx
     done
   done;
-  (* Tree metrics on the flat kernel: compile every tree's flat form and
-     size the DP scratch up front, so neither the serial loop nor any
-     forked worker (which inherits the warm memo copy-on-write) compiles
-     or reallocates mid-pair. Pair order below is untouched — results,
-     memo and cache contents stay byte-identical. *)
-  (match metric with
-  | (TSrc | TSem | TSemI | TIr) when Div.ted_algo () = `Flat ->
-      Index_engine.warm_ted
-        (List.concat_map
-           (fun c -> List.map (fun u -> tree_of metric variant c u) c.ix_units)
-           codebases)
-  | _ -> ());
-  let tree_metric =
-    match metric with TSrc | TSem | TSemI | TIr -> true | _ -> false
-  in
-  let pivk =
-    match !engine_pivots with
-    | Pivots_off -> 0
-    | Pivots_auto -> Sv_metric.Pivots.auto_pivots n
-    | Pivots k -> max 1 k
-  in
-  last_pivot_stats := None;
+  (* Tree metrics: compile every tree's flat form and size the DP scratch
+     up front, so neither the serial loop nor any forked worker (which
+     inherits the warm memo copy-on-write) compiles or reallocates
+     mid-pair. Pair order below is untouched — results, memo and cache
+     contents stay byte-identical. *)
+  warm_trees metric variant codebases;
   let jobs = !engine_jobs in
-  if tree_metric && pivk > 0 && n >= 2 then begin
-    (* Triangle-bounded schedule (serial, in-process): pivot rows exact,
-       every other pair either resolved from the pivot intervals — a
-       collapsed interval is the distance; a lower bound at or above
-       max(dmax_i, dmax_j) normalises to exactly 1.0 in both directions,
-       same as the true distance would — or computed by the bounded
-       kernel seeded with the interval's upper bound, which always
-       returns the exact distance. Every cell therefore yields the same
-       float as the exhaustive loop: matrices and dendrograms are
-       byte-identical by construction. *)
-    let o =
-      {
-        Sv_metric.Pivots.n;
-        size = (fun i -> dmax.(i));
-        lower = (fun i j -> codebase_lower ~variant metric arr.(i) arr.(j));
-        dist =
-          (fun i j -> fst (raw_divergence ~variant metric arr.(i) arr.(j)));
-        dist_bounded =
-          (fun i j ~cutoff ->
-            raw_divergence_bounded ~variant metric ~cutoff arr.(i) arr.(j));
-      }
-    in
-    let dd, st =
-      Sv_metric.Pivots.schedule ~pivots:pivk
-        ~clamp:(fun i j -> max dmax.(i) dmax.(j))
-        o
-    in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        d.(i).(j) <- dd.(i).(j)
-      done
-    done;
-    last_pivot_stats := Some st
-  end
-  else if jobs <= 1 || Array.length pairs < 2 then
+  if jobs <= 1 || Array.length pairs < 2 then
     Array.iter
       (fun (i, j) ->
         let dij, _ = raw_divergence ~variant metric arr.(i) arr.(j) in
@@ -429,19 +358,10 @@ let vp_key ?(variant = Base) metric codebases =
     ~corpus_digest:(corpus_digest codebases)
     ~metric:(metric_label metric) ~variant:(variant_label variant) ()
 
-let warm_vp_trees metric variant codebases =
-  match metric with
-  | (TSrc | TSem | TSemI | TIr) when Div.ted_algo () = `Flat ->
-      Index_engine.warm_ted
-        (List.concat_map
-           (fun c -> List.map (fun u -> tree_of metric variant c u) c.ix_units)
-           codebases)
-  | _ -> ()
-
 let vp_index ?(variant = Base) metric codebases =
   let arr = Array.of_list codebases in
   let build () =
-    warm_vp_trees metric variant codebases;
+    warm_trees metric variant codebases;
     let dist i j = fst (raw_divergence ~variant metric arr.(i) arr.(j)) in
     Sv_metric.Vptree.build ~dist (Array.init (Array.length arr) Fun.id)
   in

@@ -60,35 +60,6 @@ val clear_memo : unit -> unit
 (** Drop the in-process divergence memo — for benchmarks and tests that
     must measure or observe cold recomputation. *)
 
-(** {2 Triangle-bounded evaluation}
-
-    The unnormalized integer divergence of the tree metrics is a true
-    metric (per-slot TED is; a positional sum of metrics is), so
-    {!matrix} can schedule through {!Sv_metric.Pivots}: pivot rows are
-    computed exactly, every other pair is bracketed by triangle
-    intervals and either resolved outright or computed by the bounded
-    kernel seeded with its interval upper bound — which always returns
-    the exact distance, keeping matrices and dendrograms byte-identical
-    to the exhaustive run by construction. Normalisation (which breaks
-    metricity — see DESIGN.md) happens only at the edge, on the final
-    integer cells. *)
-
-type pivot_conf =
-  | Pivots_off  (** exhaustive evaluation (default) *)
-  | Pivots_auto  (** ⌈√n⌉ pivots *)
-  | Pivots of int  (** explicit pivot count (clamped to ≥ 1) *)
-
-val set_pivots : pivot_conf -> unit
-(** Configure the scheduler for subsequent {!matrix} calls. Applies to
-    tree metrics with n ≥ 2; the schedule runs in-process (it takes
-    precedence over [set_jobs]). *)
-
-val pivots : unit -> pivot_conf
-
-val pivot_stats : unit -> Sv_metric.Pivots.stats option
-(** Scheduler statistics of the most recent {!matrix} call ([None] if it
-    did not use the pivot path). *)
-
 val set_metric_cache : Sv_db.Metric_cache.cache option -> unit
 (** Install (or remove, with [None]) the persistent VP-tree cache
     consulted by {!vp_index}: a hit skips construction entirely (zero

@@ -8,27 +8,13 @@ let source_distance a b =
    canonizer interns every distinct subtree once and hands the kernels
    physically shared int-labelled views ([Label.equal] classes, so
    locations never reach the DP). Equal trees — repeated matrix cells,
-   shared headers, identical ports — hit [Ted.distance_int]'s
-   pointer-compare fast path, and repeated operands skip re-interning of
-   everything already seen. Forked workers each inherit a private copy of
+   shared headers, identical ports — share one intern id and skip the DP,
+   and repeated operands skip re-interning of everything already seen. Forked workers each inherit a private copy of
    the table, so the pool stays deterministic. *)
 let canonizer : Label.t Sv_tree.Hashcons.canonizer =
   Sv_tree.Hashcons.canonizer ~init:4096 ~hash:Label.hash ~equal:Label.equal ()
 
 let canon t = Sv_tree.Hashcons.canon canonizer t
-let intern_stats () = Sv_tree.Hashcons.canonizer_stats canonizer
-
-(* Which TED kernel answers [tree_distance]. [`Flat] compiles each
-   distinct canonical tree once into Flat's contiguous arrays (memoised
-   below by intern id) and runs the allocation-free flat kernel; [`Zs] is
-   the pointer-tree Zhang–Shasha of PR 4, kept as the reference the bench
-   harness compares against byte-for-byte. Both compute the identical
-   distance. *)
-type ted_algo = [ `Flat | `Zs ]
-
-let algo : ted_algo ref = ref `Flat
-let set_ted_algo a = algo := a
-let ted_algo () = !algo
 
 (* Flat kernels memoised by intern id: one compile per distinct tree for
    the life of the process, shared by every matrix cell that mentions it.
@@ -49,47 +35,32 @@ let warm_flat t =
   let id, view = Sv_tree.Hashcons.canon_id canonizer t in
   ignore (flat_of_id id view)
 
-let flat_count () = Hashtbl.length flat_memo
-
+(* Every distinct canonical tree is compiled once into Flat's contiguous
+   arrays (memoised above by intern id) and compared by the
+   allocation-free flat kernel. *)
 let tree_distance t1 t2 =
-  match !algo with
-  | `Zs -> Sv_tree.Ted.distance_int (canon t1) (canon t2)
-  | `Flat ->
-      let id1, v1 = Sv_tree.Hashcons.canon_id canonizer t1 in
-      let id2, v2 = Sv_tree.Hashcons.canon_id canonizer t2 in
-      if id1 = id2 then begin
-        let open Sv_perf.Telemetry in
-        ted.equal_prunes <- ted.equal_prunes + 1;
-        0
-      end
-      else Sv_tree.Flat.distance (flat_of_id id1 v1) (flat_of_id id2 v2)
-
-let tree_distance_bounded ~cutoff t1 t2 =
-  match !algo with
-  | `Zs -> Sv_tree.Ted.distance_bounded_int ~cutoff (canon t1) (canon t2)
-  | `Flat ->
-      if cutoff < 0 then None
-      else
-        let id1, v1 = Sv_tree.Hashcons.canon_id canonizer t1 in
-        let id2, v2 = Sv_tree.Hashcons.canon_id canonizer t2 in
-        if id1 = id2 then begin
-          let open Sv_perf.Telemetry in
-          ted.equal_prunes <- ted.equal_prunes + 1;
-          Some 0
-        end
-        else
-          Sv_tree.Flat.distance_bounded ~cutoff (flat_of_id id1 v1)
-            (flat_of_id id2 v2)
-
-(* Cheap admissible lower bound through the same canonizer/flat memo as
-   the kernels, so the metric scheduler's bound calls share every compile
-   with the distance calls that follow. Always flat-based (both kernels
-   compute the identical distance, so one bound serves both). *)
-let tree_lower_bound t1 t2 =
   let id1, v1 = Sv_tree.Hashcons.canon_id canonizer t1 in
   let id2, v2 = Sv_tree.Hashcons.canon_id canonizer t2 in
-  if id1 = id2 then 0
-  else Sv_tree.Flat.lower_bound (flat_of_id id1 v1) (flat_of_id id2 v2)
+  if id1 = id2 then begin
+    let open Sv_perf.Telemetry in
+    ted.equal_prunes <- ted.equal_prunes + 1;
+    0
+  end
+  else Sv_tree.Flat.distance (flat_of_id id1 v1) (flat_of_id id2 v2)
+
+let tree_distance_bounded ~cutoff t1 t2 =
+  if cutoff < 0 then None
+  else
+    let id1, v1 = Sv_tree.Hashcons.canon_id canonizer t1 in
+    let id2, v2 = Sv_tree.Hashcons.canon_id canonizer t2 in
+    if id1 = id2 then begin
+      let open Sv_perf.Telemetry in
+      ted.equal_prunes <- ted.equal_prunes + 1;
+      Some 0
+    end
+    else
+      Sv_tree.Flat.distance_bounded ~cutoff (flat_of_id id1 v1)
+        (flat_of_id id2 v2)
 
 let tree_distance_matched t1 t2 =
   let root_cost = if Label.equal (Tree.label t1) (Tree.label t2) then 0 else 1 in

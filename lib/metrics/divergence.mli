@@ -11,16 +11,12 @@ val source_distance : string list -> string list -> int
 (** [source_distance a b] is the insert+delete edit distance between two
     normalised line lists (Eq. 4's summand). *)
 
-type ted_algo = [ `Flat | `Zs ]
-(** Kernel behind {!tree_distance}: [`Flat] (default) compiles each
-    distinct canonical tree once into {!Sv_tree.Flat} contiguous arrays
-    and runs the allocation-free kernel with per-pair strategy selection;
-    [`Zs] is the pointer-tree Zhang–Shasha kernel, kept as the reference
-    baseline. Both compute the identical distance — the bench harness
-    checks whole matrices byte-for-byte. *)
-
-val set_ted_algo : ted_algo -> unit
-val ted_algo : unit -> ted_algo
+val canon : Sv_tree.Label.tree -> int Sv_tree.Tree.t
+(** [canon t] is [t]'s int-labelled view in the process-global
+    {!Sv_tree.Hashcons} canonizer behind {!tree_distance}: labels
+    interned by {!Sv_tree.Label.equal}, equal subtrees physically
+    shared. {!Sv_tree.Ted.distance} with [~eq:Int.equal] over two such
+    views is the pointer-tree reference for {!tree_distance}. *)
 
 val warm_flat : Sv_tree.Label.tree -> unit
 (** [warm_flat t] canonises [t] and compiles its flat kernel into the
@@ -28,31 +24,21 @@ val warm_flat : Sv_tree.Label.tree -> unit
     Call before forking a worker pool so children inherit the compiled
     kernels copy-on-write instead of each recompiling them. *)
 
-val flat_count : unit -> int
-(** Number of distinct trees with a compiled flat kernel in the memo. *)
-
 val tree_distance : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 (** Unit-cost TED with the paper's label equality ({!Sv_tree.Label.equal}:
     kind and retained text; locations ignored). Operands are canonised
     through a process-global {!Sv_tree.Hashcons} table, so equal trees
     cost a pointer compare and repeated operands skip re-interning; the
-    selected {!ted_algo} kernel computes the rest. *)
+    {!Sv_tree.Flat} kernel, compiled once per distinct tree, computes
+    the rest. *)
 
 val tree_distance_bounded :
   cutoff:int -> Sv_tree.Label.tree -> Sv_tree.Label.tree -> int option
 (** [tree_distance_bounded ~cutoff t1 t2] is [Some d] iff
-    [tree_distance t1 t2 = d <= cutoff]. Uses the histogram lower-bound
-    prefilter and in-DP early exit of {!Sv_tree.Ted.distance_bounded_int},
-    so rejections are far cheaper than a full TED — the clustering
-    fast path when only "within threshold?" matters. *)
-
-val tree_lower_bound :
-  Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
-(** Admissible lower bound on {!tree_distance} from compile-time
-    summaries only ({!Sv_tree.Flat.lower_bound}: size / histogram /
-    leaves / height deltas and the binary-branch profile bound), through
-    the same process-global canonizer and flat memo as the kernels —
-    never runs a DP. The metric scheduler's prefilter. *)
+    [tree_distance t1 t2 = d <= cutoff]. Uses the lower-bound cascade
+    and in-DP early exit of {!Sv_tree.Flat.distance_bounded}, so
+    rejections are far cheaper than a full TED — the VP-tree's query
+    path when only "within threshold?" matters. *)
 
 val tree_distance_matched : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 (** [tree_distance_matched t1 t2] approximates {!tree_distance} by the
@@ -78,8 +64,3 @@ val mask_tree :
   Sv_util.Coverage.t -> Sv_tree.Label.tree -> Sv_tree.Label.tree
 (** [mask_tree cov t] prunes subtrees whose source span never executed —
     the [+coverage] variant (§IV-D). The root always survives. *)
-
-val intern_stats : unit -> Sv_tree.Hashcons.stats
-(** Counters of the process-global intern table behind {!tree_distance}:
-    distinct subtrees/labels seen and intern hit/miss totals — the
-    structure-sharing rate the bench harness reports. *)

@@ -5,7 +5,6 @@ type ted = {
   mutable pqg_prunes : int;
   mutable pq_prunes : int;
   mutable cutoff_abandons : int;
-  mutable tri_resolved : int;
   mutable dp_runs : int;
   mutable flat_compiles : int;
   mutable scratch_grows : int;
@@ -21,7 +20,6 @@ let zero () =
     pqg_prunes = 0;
     pq_prunes = 0;
     cutoff_abandons = 0;
-    tri_resolved = 0;
     dp_runs = 0;
     flat_compiles = 0;
     scratch_grows = 0;
@@ -38,7 +36,6 @@ let reset_ted () =
   ted.pqg_prunes <- 0;
   ted.pq_prunes <- 0;
   ted.cutoff_abandons <- 0;
-  ted.tri_resolved <- 0;
   ted.dp_runs <- 0;
   ted.flat_compiles <- 0;
   ted.scratch_grows <- 0;
@@ -55,7 +52,6 @@ let ted_diff ~before ~after =
     pqg_prunes = after.pqg_prunes - before.pqg_prunes;
     pq_prunes = after.pq_prunes - before.pq_prunes;
     cutoff_abandons = after.cutoff_abandons - before.cutoff_abandons;
-    tri_resolved = after.tri_resolved - before.tri_resolved;
     dp_runs = after.dp_runs - before.dp_runs;
     flat_compiles = after.flat_compiles - before.flat_compiles;
     scratch_grows = after.scratch_grows - before.scratch_grows;
@@ -74,7 +70,6 @@ let ted_rows t =
     ("pruned: pq-gram profile", t.pqg_prunes);
     ("pruned: branch profile", t.pq_prunes);
     ("DP abandoned at cutoff", t.cutoff_abandons);
-    ("resolved: triangle bound", t.tri_resolved);
     ("DP runs", t.dp_runs);
     ("flat compiles", t.flat_compiles);
     ("scratch growths", t.scratch_grows);
@@ -86,10 +81,9 @@ let ted_to_string t =
   let queries = ted_pruned t + t.dp_runs in
   Printf.sprintf
     "ted: %d bounded queries pruned of %d (equal %d, size %d, hist %d, pqgram \
-     %d, branch %d), %d triangle-resolved, %d DP runs (%d abandoned), %d \
-     flats, strategy L/R %d/%d"
+     %d, branch %d), %d DP runs (%d abandoned), %d flats, strategy L/R %d/%d"
     (ted_pruned t) queries t.equal_prunes t.size_prunes t.hist_prunes
-    t.pqg_prunes t.pq_prunes t.tri_resolved t.dp_runs t.cutoff_abandons
+    t.pqg_prunes t.pq_prunes t.dp_runs t.cutoff_abandons
     t.flat_compiles t.strategy_left t.strategy_right
 
 (* --- service counters --- *)

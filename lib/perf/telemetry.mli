@@ -2,8 +2,8 @@
 
     The TED pruning cascade (digest equality, size bound, label-histogram
     lower bound) decides per pair whether the DP runs at all; these
-    counters record those decisions so `sv compare --stats` and the bench
-    harness can report prune rates next to wall-clock numbers. Counters
+    counters record those decisions so `sv compare --stats` and perfbench
+    can report prune rates next to wall-clock numbers. Counters
     are plain mutable ints — monotone within a process, reset explicitly,
     and private to each forked worker (children inherit a copy; their
     increments do not flow back, so parent-side reports describe
@@ -27,10 +27,7 @@ type ted = {
           profile passed *)
   mutable cutoff_abandons : int;
       (** DP runs abandoned mid-flight once the cutoff became unreachable *)
-  mutable tri_resolved : int;
-      (** matrix pairs settled by pivot triangle bounds (interval collapse
-          or clamp) without touching the kernel at all *)
-  mutable dp_runs : int;  (** full kernel runs (flat or Zhang–Shasha) *)
+  mutable dp_runs : int;  (** full flat-kernel runs *)
   mutable flat_compiles : int;  (** trees compiled to flat form *)
   mutable scratch_grows : int;  (** geometric growths of the DP scratch *)
   mutable strategy_left : int;  (** pairs decomposed along the left path *)

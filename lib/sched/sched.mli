@@ -115,8 +115,8 @@ val fresh_stats : unit -> stats
 
 val last_stats : unit -> stats
 (** The counters of the most recent {!val:map} call (all zero for a
-    serial run) — how `bench ted-engine` reports recovery activity
-    without threading a record through [Tbmd]. *)
+    serial run) — how `sv … --fault` reports recovery activity without
+    threading a record through [Tbmd]. *)
 
 val stats_to_string : stats -> string
 

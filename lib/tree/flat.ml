@@ -335,11 +335,12 @@ exception Cutoff
    and fd buffers. Integer mins are written out as compares: without
    flambda a [Stdlib.min] per cell is a generic-compare call, and this
    loop runs billions of cells per matrix. [cutoff < max_int] additionally
-   early-abandons on the final keyroot pair exactly as
-   [Ted.row_floor_exceeds] does — each fd row cell is a genuine
-   postorder-prefix distance there, so if every column's floor (cell plus
-   remaining size imbalance) exceeds the cutoff, no completion can come
-   in under it. *)
+   early-abandons on the final keyroot pair (whole tree against whole
+   tree): each fd row cell is a genuine postorder-prefix distance there,
+   and restricting an optimal mapping to the first [di] nodes of t1
+   shows the final distance is at least the cell of the column it
+   induces plus the remaining size imbalance. So if every column's floor
+   exceeds the cutoff, no completion can come in under it. *)
 let zs ~td ~fd ~cutoff d1 d2 n1 n2 =
   let st = n2 + 1 and sf = n2 + 2 in
   let l1 = d1.lml and l2 = d2.lml in

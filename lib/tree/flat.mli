@@ -11,9 +11,9 @@
     mirror-invariant), and bounded queries pass a pruning cascade (digest
     equality, size bound, label-histogram/leaves/height lower bound,
     pq-gram profile bound, binary-branch profile bound) before any DP
-    cell is touched. Distances are exactly those of
-    {!Ted.distance_int}; the bench harness checks the two kernels
-    byte-identical over whole corpora.
+    cell is touched. Distances are exactly those of the pointer-tree
+    reference {!Ted.distance}; the test suites check the two kernels
+    cell by cell over whole corpora.
 
     Counters for prunes, DP runs, compiles and strategy picks accumulate
     in {!Sv_perf.Telemetry.ted}. *)
@@ -70,7 +70,7 @@ val pqgram_bound : t -> t -> int
     {!branch_bound} in the bounded cascade with its own prune counter. *)
 
 val distance : ?scratch:scratch -> t -> t -> int
-(** Exact unit-cost TED; equals [Ted.distance_int] on the source trees.
+(** Exact unit-cost TED; equals [Ted.distance] on the source trees.
     Equal flats (pointer or digest) short-circuit to 0. [scratch]
     defaults to the process-shared context. *)
 

@@ -112,7 +112,7 @@ let stats t =
 
 (* Canonical int-labelled view: equal subtrees (under the table's label
    equality) map to the *same physical* [int Tree.t], so downstream
-   consumers — notably [Ted.distance_int]'s equal-subtree fast path —
+   consumers — notably the TED kernels' equal-operand short-circuit —
    recognise shared structure with a pointer compare. *)
 type 'a canonizer = { table : 'a t; memo : (int, int Tree.t) Hashtbl.t }
 
@@ -132,5 +132,3 @@ let canon c tree = canon_node c (intern c.table tree)
 let canon_id c tree =
   let n = intern c.table tree in
   (n.id, canon_node c n)
-
-let canonizer_stats c = stats c.table

@@ -10,9 +10,9 @@
     - shared structure is deduplicated in memory (one node per distinct
       subtree, children physically shared);
     - consumers can build derived views memoised by id — see
-      {!canonizer}, which hands [Ted.distance_int] physically-shared
-      int-labelled trees so its equal-subtree fast path fires on a
-      pointer compare.
+      {!canonizer}, which hands the TED kernels physically-shared
+      int-labelled trees, so equal operands are recognised by id before
+      any DP runs.
 
     Interning is exact: ids are assigned through a table keyed by
     (label id, child ids), so two subtrees receive the same id iff they
@@ -93,5 +93,3 @@ val canon_id : 'a canonizer -> 'a Tree.t -> int * int Tree.t
     {!id} — a stable dense key for caches of per-tree derived artifacts
     (the metric layer memoises compiled {!Flat.t} kernels by it). Equal
     trees return equal ids. *)
-
-val canonizer_stats : 'a canonizer -> stats

@@ -1,5 +1,3 @@
-module T = Sv_perf.Telemetry
-
 type 'a costs = {
   delete : 'a -> int;
   insert : 'a -> int;
@@ -50,101 +48,21 @@ let decompose t =
   done;
   { labels; lml; keyroots = !keyroots }
 
-(* Specialised unit-cost kernel: no per-cell closure calls, unchecked
-   array accesses in the O(n₁·n₂·…) inner loops. This is the path every
-   metric comparison takes, so it is written for speed. *)
+(* Specialised unit-cost kernel: no per-cell closure calls outside the
+   relabel cells, one forest-distance buffer reused across keyroot pairs,
+   integer mins written out as compares (without flambda a [Stdlib.min]
+   is a generic-compare call) and unchecked array accesses in the
+   O(n₁·n₂·…) inner loops. The metric layer runs [Flat]; this pointer-tree
+   kernel is the reference the flat kernel is tested against, so it is
+   kept fast enough to check whole matrices. *)
 let distance_unit ~eq t1 t2 =
   let d1 = decompose t1 and d2 = decompose t2 in
   let n1 = Array.length d1.labels - 1 and n2 = Array.length d2.labels - 1 in
   let td = Array.make_matrix (n1 + 1) (n2 + 1) 0 in
   let l1 = d1.lml and l2 = d2.lml in
   let lab1 = d1.labels and lab2 = d2.labels in
-  let treedist i j =
-    let li = Array.unsafe_get l1 i and lj = Array.unsafe_get l2 j in
-    let w = i - li + 2 and h = j - lj + 2 in
-    let fd = Array.make_matrix w h 0 in
-    let fd0 = Array.unsafe_get fd 0 in
-    for dj = 1 to h - 1 do
-      Array.unsafe_set fd0 dj dj
-    done;
-    for di = 1 to w - 1 do
-      let row = Array.unsafe_get fd di in
-      let prev = Array.unsafe_get fd (di - 1) in
-      Array.unsafe_set row 0 di;
-      let ni = li + di - 1 in
-      let lni = Array.unsafe_get l1 ni in
-      let labi = Array.unsafe_get lab1 ni in
-      let tdi = Array.unsafe_get td ni in
-      if lni = li then
-        (* both prefixes are whole trees on this row iff also l2 matches *)
-        for dj = 1 to h - 1 do
-          let nj = lj + dj - 1 in
-          let del = Array.unsafe_get prev dj + 1 in
-          let ins = Array.unsafe_get row (dj - 1) + 1 in
-          if Array.unsafe_get l2 nj = lj then begin
-            let rel =
-              Array.unsafe_get prev (dj - 1)
-              + if eq labi (Array.unsafe_get lab2 nj) then 0 else 1
-            in
-            let v = min del (min ins rel) in
-            Array.unsafe_set row dj v;
-            Array.unsafe_set tdi nj v
-          end
-          else
-            let sub =
-              Array.unsafe_get (Array.unsafe_get fd (lni - li)) (Array.unsafe_get l2 nj - lj)
-              + Array.unsafe_get tdi nj
-            in
-            Array.unsafe_set row dj (min del (min ins sub))
-        done
-      else
-        for dj = 1 to h - 1 do
-          let nj = lj + dj - 1 in
-          let del = Array.unsafe_get prev dj + 1 in
-          let ins = Array.unsafe_get row (dj - 1) + 1 in
-          if Array.unsafe_get l2 nj = lj && lni = li then begin
-            let rel =
-              Array.unsafe_get prev (dj - 1)
-              + if eq labi (Array.unsafe_get lab2 nj) then 0 else 1
-            in
-            let v = min del (min ins rel) in
-            Array.unsafe_set row dj v;
-            Array.unsafe_set tdi nj v
-          end
-          else
-            let sub =
-              Array.unsafe_get (Array.unsafe_get fd (lni - li)) (Array.unsafe_get l2 nj - lj)
-              + Array.unsafe_get tdi nj
-            in
-            Array.unsafe_set row dj (min del (min ins sub))
-        done
-    done
-  in
-  List.iter (fun i -> List.iter (fun j -> treedist i j) d2.keyroots) d1.keyroots;
-  if n1 = 0 then n2 else if n2 = 0 then n1 else td.(n1).(n2)
-
-(* Equal-subtree fast path: equal trees have distance 0, so skip the DP
-   entirely. Canonical trees from [Hashcons.canon] make this a pointer
-   compare; otherwise the structural walk bails on the first mismatch,
-   so the miss cost is one comparison per shared prefix node. *)
-let equal_int (t1 : int Tree.t) (t2 : int Tree.t) =
-  t1 == t2 || Tree.equal (fun (a : int) b -> a = b) t1 t2
-
-(* Int-labelled unit-cost kernel: direct integer compares and a single
-   preallocated forest-distance buffer reused across keyroot pairs. *)
-let distance_int (t1 : int Tree.t) (t2 : int Tree.t) =
-  if equal_int t1 t2 then begin
-    T.ted.equal_prunes <- T.ted.equal_prunes + 1;
-    0
-  end
-  else
-  let () = T.ted.dp_runs <- T.ted.dp_runs + 1 in
-  let d1 = decompose t1 and d2 = decompose t2 in
-  let n1 = Array.length d1.labels - 1 and n2 = Array.length d2.labels - 1 in
-  let td = Array.make_matrix (n1 + 1) (n2 + 1) 0 in
-  let l1 = d1.lml and l2 = d2.lml in
-  let lab1 = d1.labels and lab2 = d2.labels in
-  (* one buffer big enough for every keyroot pair *)
+  (* every cell a keyroot pair reads is written earlier in the same pair,
+     so one buffer big enough for the largest pair serves them all *)
   let fd = Array.make_matrix (n1 + 2) (n2 + 2) 0 in
   let treedist i j =
     let li = Array.unsafe_get l1 i and lj = Array.unsafe_get l2 j in
@@ -159,20 +77,22 @@ let distance_int (t1 : int Tree.t) (t2 : int Tree.t) =
       Array.unsafe_set row 0 di;
       let ni = li + di - 1 in
       let lni = Array.unsafe_get l1 ni in
-      let labi : int = Array.unsafe_get lab1 ni in
+      let labi = Array.unsafe_get lab1 ni in
       let tdi = Array.unsafe_get td ni in
+      (* both prefixes are whole trees iff also l2 matches on the column *)
       let whole_i = lni = li in
       let sub_row = Array.unsafe_get fd (lni - li) in
       for dj = 1 to h - 1 do
         let nj = lj + dj - 1 in
         let del = Array.unsafe_get prev dj + 1 in
         let ins = Array.unsafe_get row (dj - 1) + 1 in
+        let m = if del <= ins then del else ins in
         if whole_i && Array.unsafe_get l2 nj = lj then begin
           let rel =
             Array.unsafe_get prev (dj - 1)
-            + if labi = Array.unsafe_get lab2 nj then 0 else 1
+            + if eq labi (Array.unsafe_get lab2 nj) then 0 else 1
           in
-          let v = min del (min ins rel) in
+          let v = if m <= rel then m else rel in
           Array.unsafe_set row dj v;
           Array.unsafe_set tdi nj v
         end
@@ -181,7 +101,7 @@ let distance_int (t1 : int Tree.t) (t2 : int Tree.t) =
             Array.unsafe_get sub_row (Array.unsafe_get l2 nj - lj)
             + Array.unsafe_get tdi nj
           in
-          Array.unsafe_set row dj (min del (min ins sub))
+          Array.unsafe_set row dj (if m <= sub then m else sub)
       done
     done
   in
@@ -248,334 +168,6 @@ let distance ?costs ~eq t1 t2 =
   if n1 = 0 then n2
   else if n2 = 0 then n1
   else td.(n1).(n2)
-
-(* --- bounded variants ---------------------------------------------- *)
-
-exception Cutoff
-
-(* Lower bound from per-tree summaries, each admissible on its own:
-
-   - label multiset: every mapped pair with unequal labels and every
-     unmapped node costs one edit; at most Σ_l min(count₁ l, count₂ l)
-     mapped pairs are free, and at most min(n₁,n₂) pairs exist, so
-     TED ≥ max(n₁,n₂) − Σ_l min(count₁, count₂) (subsumes |n₁ − n₂|,
-     kept explicit for clarity);
-   - leaf count: a delete removes at most one leaf (splicing children
-     cannot create more than it destroys), an insert adds at most one,
-     a relabel none, so TED ≥ |leaves₁ − leaves₂|;
-   - height: deleting a node lowers its descendants exactly one level
-     and no other, so every operation moves the height by at most one
-     and TED ≥ |height₁ − height₂|.
-
-   All hold for degenerate inputs too — a single node has one leaf,
-   height 1 and a one-entry histogram, so every component is 0 against an
-   equal tree. O(n₁+n₂); lets the bounded engine skip the full DP when
-   even the bound exceeds its cutoff. Admissibility (lb ≤ distance) is
-   property-tested against the brute-force oracle. *)
-let summary_bound_int (t1 : int Tree.t) (t2 : int Tree.t) =
-  let summary t =
-    let n = ref 0 and leaves = ref 0 in
-    let rec go depth (Tree.Node (_, cs)) =
-      incr n;
-      match cs with
-      | [] ->
-          incr leaves;
-          depth
-      | _ -> List.fold_left (fun acc c -> max acc (go (depth + 1) c)) depth cs
-    in
-    let height = go 1 t in
-    (!n, !leaves, height)
-  in
-  let n1, leaves1, height1 = summary t1 in
-  let n2, leaves2, height2 = summary t2 in
-  let counts : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let rec fill (Tree.Node (x, cs)) =
-    (match Hashtbl.find_opt counts x with
-    | Some r -> incr r
-    | None -> Hashtbl.add counts x (ref 1));
-    List.iter fill cs
-  in
-  fill t1;
-  let common = ref 0 in
-  let rec drain (Tree.Node (x, cs)) =
-    (match Hashtbl.find_opt counts x with
-    | Some r when !r > 0 ->
-        decr r;
-        incr common
-    | _ -> ());
-    List.iter drain cs
-  in
-  drain t2;
-  let lb = max (abs (n1 - n2)) (max n1 n2 - !common) in
-  let lb = max lb (abs (leaves1 - leaves2)) in
-  max lb (abs (height1 - height2))
-
-(* Binary-branch profile bound, computed on the fly (the flat kernel
-   precomputes the same profile per compiled tree — see [Flat.bb_profile]
-   for the admissibility argument): hash every (label, first-child,
-   next-sibling) triple, accumulate +1 for t1 and −1 for t2, and the L1
-   residue is ≤ 5·TED, so ⌈L1/5⌉ is admissible. *)
-let bb_mix z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let bb_key x cp c sp s =
-  let open Int64 in
-  let step h v = bb_mix (logxor (mul h 0x100000001B3L) (of_int v)) in
-  let h = bb_mix (add (of_int x) 0x9E3779B97F4A7C15L) in
-  let h = step (step (step (step h cp) c) sp) s in
-  to_int (shift_right_logical h 2)
-
-let branch_bound_int (t1 : int Tree.t) (t2 : int Tree.t) =
-  let counts : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let bump sgn t =
-    let rec go sp s (Tree.Node (x, cs)) =
-      let cp, c =
-        match cs with [] -> (0, 0) | Tree.Node (y, _) :: _ -> (1, y)
-      in
-      let k = bb_key x cp c sp s in
-      (match Hashtbl.find_opt counts k with
-      | Some r -> r := !r + sgn
-      | None -> Hashtbl.add counts k (ref sgn));
-      let rec kids = function
-        | [] -> ()
-        | [ last ] -> go 0 0 last
-        | a :: (Tree.Node (y, _) :: _ as rest) ->
-            go 1 y a;
-            kids rest
-      in
-      kids cs
-    in
-    go 0 0 t
-  in
-  bump 1 t1;
-  bump (-1) t2;
-  let l1 = Hashtbl.fold (fun _ r acc -> acc + abs !r) counts 0 in
-  (l1 + 4) / 5
-
-(* pq-gram profile bound, computed on the fly (the flat kernel
-   precomputes the same profile per compiled tree — see [Flat.pq_profile]
-   for the factor-9 admissibility argument): the binary-branch triple
-   extended with the node's binary parent (label + which slot the node
-   fills there), hashed, +1/−1 accumulated, ⌈L1/9⌉. Finer tuples carry
-   more mismatch mass than the raw triples, so this frequently beats
-   ⌈L1/5⌉ despite the larger divisor; the cascade runs it first. *)
-let pq_key x cp c sp s pp pl side =
-  let open Int64 in
-  let step h v = bb_mix (logxor (mul h 0x100000001B3L) (of_int v)) in
-  let h = bb_mix (add (of_int x) 0x243F6A8885A308D3L) in
-  let h = step (step (step (step h cp) c) sp) s in
-  let h = step (step (step h pp) pl) side in
-  to_int (shift_right_logical h 2)
-
-let pqgram_bound_int (t1 : int Tree.t) (t2 : int Tree.t) =
-  let counts : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let bump sgn t =
-    let rec go pp pl side sp s (Tree.Node (x, cs)) =
-      let cp, c =
-        match cs with [] -> (0, 0) | Tree.Node (y, _) :: _ -> (1, y)
-      in
-      let k = pq_key x cp c sp s pp pl side in
-      (match Hashtbl.find_opt counts k with
-      | Some r -> r := !r + sgn
-      | None -> Hashtbl.add counts k (ref sgn));
-      let rec kids side' pl' = function
-        | [] -> ()
-        | [ last ] -> go 1 pl' side' 0 0 last
-        | (Tree.Node (y, _) as a) :: (Tree.Node (z, _) :: _ as rest) ->
-            go 1 pl' side' 1 z a;
-            kids 2 y rest
-      in
-      kids 1 x cs
-    in
-    go 0 0 0 0 0 t
-  in
-  bump 1 t1;
-  bump (-1) t2;
-  let l1 = Hashtbl.fold (fun _ r acc -> acc + abs !r) counts 0 in
-  (l1 + 8) / 9
-
-let lower_bound_int t1 t2 =
-  max
-    (summary_bound_int t1 t2)
-    (max (pqgram_bound_int t1 t2) (branch_bound_int t1 t2))
-
-(* Early-abandon check shared by the bounded kernels.  Valid only for the
-   final keyroot pair (whole tree vs whole tree, li = lj = 1): there the
-   forest cells are genuine postorder-prefix distances, and restricting an
-   optimal edit mapping to the first [di] nodes of t1 shows the final
-   distance is at least [fd(di,dj)] for the column the mapping induces,
-   plus the size imbalance of the remaining suffixes.  If every column's
-   floor exceeds the cutoff the pair can never come in under it. *)
-let row_floor_exceeds row h ~rem1 ~cutoff =
-  let best = ref max_int in
-  for dj = 0 to h - 1 do
-    let floor = Array.unsafe_get row dj + abs (rem1 - (h - 1 - dj)) in
-    if floor < !best then best := floor
-  done;
-  !best > cutoff
-
-(* Generic-label unit-cost kernel with the early abandon; raises [Cutoff]
-   as soon as the running cost provably exceeds [cutoff]. *)
-let distance_unit_bounded ~eq ~cutoff t1 t2 =
-  let d1 = decompose t1 and d2 = decompose t2 in
-  let n1 = Array.length d1.labels - 1 and n2 = Array.length d2.labels - 1 in
-  if n1 = 0 || n2 = 0 then begin
-    let d = max n1 n2 in
-    if d > cutoff then raise Cutoff;
-    d
-  end
-  else begin
-    let td = Array.make_matrix (n1 + 1) (n2 + 1) 0 in
-    let treedist i j =
-      let li = d1.lml.(i) and lj = d2.lml.(j) in
-      let w = i - li + 2 and h = j - lj + 2 in
-      let final = i = n1 && j = n2 in
-      let fd = Array.make_matrix w h 0 in
-      for di = 1 to w - 1 do
-        fd.(di).(0) <- di
-      done;
-      for dj = 1 to h - 1 do
-        fd.(0).(dj) <- dj
-      done;
-      for di = 1 to w - 1 do
-        let ni = li + di - 1 in
-        let row = fd.(di) and prev = fd.(di - 1) in
-        for dj = 1 to h - 1 do
-          let nj = lj + dj - 1 in
-          let del = prev.(dj) + 1 and ins = row.(dj - 1) + 1 in
-          if d1.lml.(ni) = li && d2.lml.(nj) = lj then begin
-            let rel =
-              prev.(dj - 1) + if eq d1.labels.(ni) d2.labels.(nj) then 0 else 1
-            in
-            let v = min del (min ins rel) in
-            row.(dj) <- v;
-            td.(ni).(nj) <- v
-          end
-          else
-            row.(dj) <-
-              min del
-                (min ins (fd.(d1.lml.(ni) - li).(d2.lml.(nj) - lj) + td.(ni).(nj)))
-        done;
-        if final && row_floor_exceeds row h ~rem1:(w - 1 - di) ~cutoff then
-          raise Cutoff
-      done
-    in
-    List.iter (fun i -> List.iter (fun j -> treedist i j) d2.keyroots) d1.keyroots;
-    td.(n1).(n2)
-  end
-
-(* Int-labelled bounded kernel: the shared-buffer fast path of
-   [distance_int] plus the same early abandon. *)
-let distance_int_bounded ~cutoff (t1 : int Tree.t) (t2 : int Tree.t) =
-  T.ted.dp_runs <- T.ted.dp_runs + 1;
-  let d1 = decompose t1 and d2 = decompose t2 in
-  let n1 = Array.length d1.labels - 1 and n2 = Array.length d2.labels - 1 in
-  if n1 = 0 || n2 = 0 then begin
-    let d = max n1 n2 in
-    if d > cutoff then raise Cutoff;
-    d
-  end
-  else begin
-    let td = Array.make_matrix (n1 + 1) (n2 + 1) 0 in
-    let l1 = d1.lml and l2 = d2.lml in
-    let lab1 = d1.labels and lab2 = d2.labels in
-    let fd = Array.make_matrix (n1 + 2) (n2 + 2) 0 in
-    let treedist i j =
-      let li = Array.unsafe_get l1 i and lj = Array.unsafe_get l2 j in
-      let w = i - li + 2 and h = j - lj + 2 in
-      let final = i = n1 && j = n2 in
-      let fd0 = Array.unsafe_get fd 0 in
-      for dj = 0 to h - 1 do
-        Array.unsafe_set fd0 dj dj
-      done;
-      for di = 1 to w - 1 do
-        let row = Array.unsafe_get fd di in
-        let prev = Array.unsafe_get fd (di - 1) in
-        Array.unsafe_set row 0 di;
-        let ni = li + di - 1 in
-        let lni = Array.unsafe_get l1 ni in
-        let labi : int = Array.unsafe_get lab1 ni in
-        let tdi = Array.unsafe_get td ni in
-        let whole_i = lni = li in
-        let sub_row = Array.unsafe_get fd (lni - li) in
-        for dj = 1 to h - 1 do
-          let nj = lj + dj - 1 in
-          let del = Array.unsafe_get prev dj + 1 in
-          let ins = Array.unsafe_get row (dj - 1) + 1 in
-          if whole_i && Array.unsafe_get l2 nj = lj then begin
-            let rel =
-              Array.unsafe_get prev (dj - 1)
-              + if labi = Array.unsafe_get lab2 nj then 0 else 1
-            in
-            let v = min del (min ins rel) in
-            Array.unsafe_set row dj v;
-            Array.unsafe_set tdi nj v
-          end
-          else
-            let sub =
-              Array.unsafe_get sub_row (Array.unsafe_get l2 nj - lj)
-              + Array.unsafe_get tdi nj
-            in
-            Array.unsafe_set row dj (min del (min ins sub))
-        done;
-        if final && row_floor_exceeds row h ~rem1:(w - 1 - di) ~cutoff then
-          raise Cutoff
-      done
-    in
-    List.iter (fun i -> List.iter (fun j -> treedist i j) d2.keyroots) d1.keyroots;
-    td.(n1).(n2)
-  end
-
-let distance_bounded ?costs ~eq ~cutoff t1 t2 =
-  if cutoff < 0 then None
-  else
-    match costs with
-    | Some c ->
-        (* custom operations break the unit-cost bounds, so no prefilter
-           and no in-DP abandon — compute, then threshold *)
-        let d = distance ~costs:c ~eq t1 t2 in
-        if d <= cutoff then Some d else None
-    | None -> (
-        let n1 = Tree.size t1 and n2 = Tree.size t2 in
-        if abs (n1 - n2) > cutoff then None
-        else if n1 + n2 <= cutoff then Some (distance_unit ~eq t1 t2)
-        else
-          match distance_unit_bounded ~eq ~cutoff t1 t2 with
-          | d -> if d <= cutoff then Some d else None
-          | exception Cutoff -> None)
-
-let distance_bounded_int ~cutoff t1 t2 =
-  if cutoff < 0 then None
-  else if equal_int t1 t2 then begin
-    T.ted.equal_prunes <- T.ted.equal_prunes + 1;
-    Some 0
-  end
-  else if abs (Tree.size t1 - Tree.size t2) > cutoff then begin
-    T.ted.size_prunes <- T.ted.size_prunes + 1;
-    None
-  end
-  else if summary_bound_int t1 t2 > cutoff then begin
-    T.ted.hist_prunes <- T.ted.hist_prunes + 1;
-    None
-  end
-  else if pqgram_bound_int t1 t2 > cutoff then begin
-    T.ted.pqg_prunes <- T.ted.pqg_prunes + 1;
-    None
-  end
-  else if branch_bound_int t1 t2 > cutoff then begin
-    T.ted.pq_prunes <- T.ted.pq_prunes + 1;
-    None
-  end
-  else if Tree.size t1 + Tree.size t2 <= cutoff then Some (distance_int t1 t2)
-  else
-    match distance_int_bounded ~cutoff t1 t2 with
-    | d -> if d <= cutoff then Some d else None
-    | exception Cutoff ->
-        T.ted.cutoff_abandons <- T.ted.cutoff_abandons + 1;
-        None
 
 (* Direct forest recursion with memoisation; the oracle assumes [eq]
    agrees with structural equality so memo keys (polymorphic hashing of

@@ -32,70 +32,11 @@ val distance : ?costs:'a costs -> eq:('a -> 'a -> bool) -> 'a Tree.t -> 'a Tree.
 
     Raises [Invalid_argument] if a custom [costs] record violates its
     contract on the labels actually present — a negative delete/insert
-    cost, or a nonzero [relabel] on equal labels. *)
+    cost, or a nonzero [relabel] on equal labels.
 
-val distance_int : int Tree.t -> int Tree.t -> int
-(** [distance_int t1 t2] is {!distance} specialised to interned integer
-    labels under unit costs — the fast path the metric layer uses (direct
-    integer compares, one reused forest-distance buffer). Equal trees
-    short-circuit to 0 before the DP: physically equal in O(1) — the case
-    {!Hashcons.canon} arranges — structurally equal after a walk that
-    bails on the first mismatch. *)
-
-val lower_bound_int : int Tree.t -> int Tree.t -> int
-(** [lower_bound_int t1 t2] is a cheap (O(n₁+n₂)) admissible lower bound
-    on the unit-cost distance: the largest of [|size t1 − size t2|],
-    [max n₁ n₂ − Σ_l min(count₁ l, count₂ l)] (every mapped pair with
-    unequal labels and every unmapped node costs at least one edit),
-    [|leaves t1 − leaves t2|], [|height t1 − height t2|] (each edit
-    operation moves each of those quantities by at most one), the
-    pq-gram profile bound {!pqgram_bound_int} and the binary-branch
-    profile bound {!branch_bound_int}. Holds on degenerate
-    inputs — single-node trees, uniform labels — and is property-tested
-    ([lower_bound_int ≤ distance]) against the oracle. The bounded engine
-    uses it to skip the full DP outright. *)
-
-val branch_bound_int : int Tree.t -> int Tree.t -> int
-(** The binary-branch (pq-gram-style) component alone: hash every
-    (label, first-child label, next-sibling label) triple of each tree
-    and take ⌈L1/5⌉ of the multiset difference — one edit operation
-    rewrites at most five triples (Yang–Kalnis–Tung, SIGMOD'05), so this
-    is admissible; hashing bins can only shrink the L1. Often far
-    tighter than the histogram components on same-size, same-alphabet
-    trees that differ structurally. *)
-
-val pqgram_bound_int : int Tree.t -> int Tree.t -> int
-(** The pq-gram profile component alone: Augsten-style label tuples —
-    each binary-branch triple extended with the node's parent in the
-    first-child/next-sibling transform (label plus which slot the node
-    fills there) — hashed and diffed as multisets, ⌈L1/9⌉. A relabel
-    moves the profile L1 by at most 8 and a delete/insert by at most 9
-    (the node's own tuple plus its ≤ 4 structurally affected
-    neighbours), so this is admissible; property-tested against the
-    oracle. It sits {e ahead} of {!branch_bound_int} in the bounded
-    cascade with its own telemetry counter, so prune attribution between
-    the two profiles stays clean. *)
-
-val distance_bounded :
-  ?costs:'a costs ->
-  eq:('a -> 'a -> bool) ->
-  cutoff:int ->
-  'a Tree.t ->
-  'a Tree.t ->
-  int option
-(** [distance_bounded ~eq ~cutoff t1 t2] is [Some d] iff
-    [distance ~eq t1 t2 = d] and [d <= cutoff], and [None] otherwise.
-    Under unit costs the engine prefilters with the size-delta lower
-    bound and abandons the DP as soon as the running cost provably
-    exceeds [cutoff], so a [None] is usually much cheaper than a full
-    {!distance} call. With custom [costs] those bounds do not hold and
-    the full distance is computed, then thresholded. *)
-
-val distance_bounded_int : cutoff:int -> int Tree.t -> int Tree.t -> int option
-(** {!distance_bounded} specialised to interned integer labels under unit
-    costs, with the stronger {!lower_bound_int} histogram prefilter —
-    the clustering layer's fast path. Shares {!distance_int}'s
-    equal-subtree short-circuit ([Some 0] for any non-negative cutoff). *)
+    The metric layer computes unit-cost distances with {!Flat}; this
+    pointer-tree kernel is its reference in the tests and the kernel of
+    the weighted-cost ablation. *)
 
 val distance_brute : eq:('a -> 'a -> bool) -> 'a Tree.t -> 'a Tree.t -> int
 (** [distance_brute ~eq t1 t2] computes the same unit-cost distance with

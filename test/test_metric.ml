@@ -1,13 +1,11 @@
 (* Property suite for the metric layer: admissible TED lower bounds
-   (binary-branch profile included), the pivot scheduler's exactness and
-   interval soundness, and VP-tree k-NN / range queries against brute
-   force. Everything is Prng-seeded (SV_PROP_ITERS scales the volume),
+   (pq-gram and binary-branch profiles included) and VP-tree k-NN / range
+   queries against brute force. Everything is Prng-seeded (SV_PROP_ITERS scales the volume),
    so a failure reports a reproducible case. *)
 
 module Tree = Sv_tree.Tree
 module Ted = Sv_tree.Ted
 module Flat = Sv_tree.Flat
-module Pivots = Sv_metric.Pivots
 module Vptree = Sv_metric.Vptree
 module Prng = Sv_util.Prng
 
@@ -56,24 +54,16 @@ let test_bounds_admissible () =
             (show_tree b))
         fmt
     in
-    let lb = Ted.lower_bound_int a b and bb = Ted.branch_bound_int a b in
-    let pq = Ted.pqgram_bound_int a b in
-    if lb > d then ctx "lower_bound_int %d > distance %d" lb d;
-    if bb > d then ctx "branch_bound_int %d > distance %d" bb d;
-    if pq > d then ctx "pqgram_bound_int %d > distance %d" pq d;
-    if lb < bb then ctx "lower_bound_int %d below branch component %d" lb bb;
-    if lb < pq then ctx "lower_bound_int %d below pq-gram component %d" lb pq;
-    let sz = abs (Tree.size a - Tree.size b) in
-    if lb < sz then ctx "lower_bound_int %d below size delta %d" lb sz;
     let fa = Flat.of_tree a and fb = Flat.of_tree b in
     let flb = Flat.lower_bound fa fb and fbb = Flat.branch_bound fa fb in
     let fpq = Flat.pqgram_bound fa fb in
     if flb > d then ctx "Flat.lower_bound %d > distance %d" flb d;
     if fbb > d then ctx "Flat.branch_bound %d > distance %d" fbb d;
     if fpq > d then ctx "Flat.pqgram_bound %d > distance %d" fpq d;
-    if fpq <> pq then
-      ctx "Flat.pqgram_bound %d <> pqgram_bound_int %d" fpq pq;
+    if flb < fbb then ctx "Flat.lower_bound %d below branch component %d" flb fbb;
     if flb < fpq then ctx "Flat.lower_bound %d below pq-gram component %d" flb fpq;
+    let sz = abs (Tree.size a - Tree.size b) in
+    if flb < sz then ctx "Flat.lower_bound %d below size delta %d" flb sz;
     (* the bounded kernel (branch-profile stage included) must agree with
        the unbounded one on both sides of the cutoff *)
     List.iter
@@ -92,95 +82,16 @@ let test_branch_bound_identical () =
   let rng = Prng.create 0xb0 in
   for _ = 1 to 50 do
     let a = gen_tree_sized rng (1 + Prng.int rng 12) in
-    checki "branch_bound_int self" 0 (Ted.branch_bound_int a a);
-    checki "pqgram_bound_int self" 0 (Ted.pqgram_bound_int a a);
-    checki "lower_bound_int self" 0 (Ted.lower_bound_int a a);
     let fa = Flat.of_tree a in
     checki "Flat.branch_bound self" 0 (Flat.branch_bound fa fa);
-    checki "Flat.pqgram_bound self" 0 (Flat.pqgram_bound fa fa)
+    checki "Flat.pqgram_bound self" 0 (Flat.pqgram_bound fa fa);
+    checki "Flat.lower_bound self" 0 (Flat.lower_bound fa fa)
   done
 
-(* --- pivot scheduler -------------------------------------------------- *)
+(* --- VP-tree ---------------------------------------------------------- *)
 
 let make_points rng n max_nodes =
   Array.init n (fun _ -> gen_tree_sized rng (1 + Prng.int rng max_nodes))
-
-let oracle_of points =
-  let flats = Array.map Flat.of_tree points in
-  {
-    Pivots.n = Array.length points;
-    size = (fun i -> Flat.size flats.(i));
-    lower = (fun i j -> Flat.lower_bound flats.(i) flats.(j));
-    dist = (fun i j -> Flat.distance flats.(i) flats.(j));
-    dist_bounded =
-      (fun i j ~cutoff -> Flat.distance_bounded ~cutoff flats.(i) flats.(j));
-  }
-
-let test_pivots_exact () =
-  let rng = Prng.create 0x9140_0001 in
-  let n = 60 in
-  let points = make_points rng n 14 in
-  let o = oracle_of points in
-  List.iter
-    (fun pivots ->
-      let d, stats = Pivots.schedule ?pivots o in
-      checki "pairs" (n * (n - 1) / 2) stats.Pivots.pairs;
-      let ledger =
-        stats.Pivots.pivot_pairs + stats.Pivots.resolved_interval
-        + stats.Pivots.resolved_clamp + stats.Pivots.bounded_pairs
-      in
-      checki "ledger covers every pair" stats.Pivots.pairs ledger;
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          let expect = if i = j then 0 else o.Pivots.dist i j in
-          if d.(i).(j) <> expect then
-            Alcotest.failf "pivots=%s: cell (%d,%d) = %d, brute %d"
-              (match pivots with Some k -> string_of_int k | None -> "auto")
-              i j d.(i).(j) expect
-        done
-      done;
-      (* interval soundness: the triangle bracket from the returned pivot
-         set must contain the exact distance for every pair *)
-      Array.iter
-        (fun p ->
-          for i = 0 to n - 1 do
-            for j = i + 1 to n - 1 do
-              let dij = d.(i).(j)
-              and dip = d.(i).(p)
-              and djp = d.(j).(p) in
-              if abs (dip - djp) > dij || dij > dip + djp then
-                Alcotest.failf
-                  "triangle bracket broken at (%d,%d) via pivot %d: |%d-%d| \
-                   <= %d <= %d+%d fails"
-                  i j p dip djp dij dip djp
-            done
-          done)
-        stats.Pivots.pivots)
-    [ None; Some 3 ]
-
-let test_pivots_clamp () =
-  let rng = Prng.create 0x9140_0002 in
-  let n = 40 in
-  let points = make_points rng n 14 in
-  let o = oracle_of points in
-  let thr = 6 in
-  let exact, _ = Pivots.schedule o in
-  let d, stats = Pivots.schedule ~clamp:(fun _ _ -> thr) o in
-  let clamped = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if d.(i).(j) <> exact.(i).(j) then begin
-        incr clamped;
-        (* a clamped cell is an admissible lower bound that already
-           cleared the threshold — sound for any use that saturates there *)
-        checkb "clamped cell is a lower bound" true (d.(i).(j) <= exact.(i).(j));
-        checkb "clamped cell cleared the threshold" true (d.(i).(j) >= thr)
-      end
-    done
-  done;
-  checkb "clamp ledger consistent" true (!clamped <= stats.Pivots.resolved_clamp)
-
-(* --- VP-tree ---------------------------------------------------------- *)
 
 let test_vptree_vs_brute () =
   let rng = Prng.create 0x7b7_ee5 in
@@ -379,12 +290,6 @@ let () =
             test_bounds_admissible;
           Alcotest.test_case "zero on identical trees" `Quick
             test_branch_bound_identical;
-        ] );
-      ( "pivots",
-        [
-          Alcotest.test_case "schedule equals brute matrix" `Quick
-            test_pivots_exact;
-          Alcotest.test_case "clamped cells are sound" `Quick test_pivots_clamp;
         ] );
       ( "vptree",
         [

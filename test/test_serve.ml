@@ -507,7 +507,8 @@ let daemon_output c req =
 (* --- differential byte-identity over a real socket (`Slow) --- *)
 
 let test_daemon_differential () =
-  let pid, _socket, c = fork_daemon () in
+  (* the high-water mark admits every pipelined request below *)
+  let pid, socket, c = fork_daemon ~high_water:64 () in
   Fun.protect
     ~finally:(fun () -> shutdown_daemon pid c)
     (fun () ->
@@ -522,6 +523,33 @@ let test_daemon_differential () =
       checks "daemon compare matches one-shot" expect
         (daemon_output c compare_req);
       checks "warm rerun identical" expect (daemon_output c compare_req);
+      (* pipelined: four clients each keep four compares in flight, and
+         every reply is still the one-shot bytes *)
+      let conns =
+        Array.init 4 (fun _ ->
+            match Client.connect ~socket ~timeout_s:120. () with
+            | Ok c -> c
+            | Error e -> Alcotest.failf "connect failed: %s" e)
+      in
+      Array.iter
+        (fun c ->
+          for _ = 1 to 4 do
+            match Client.send c compare_req with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "send failed: %s" e
+          done)
+        conns;
+      Array.iter
+        (fun c ->
+          for _ = 1 to 4 do
+            match Client.recv c with
+            | Ok (_, P.Output { output; _ }) ->
+                checks "pipelined compare matches one-shot" expect output
+            | Ok _ -> Alcotest.fail "expected an output reply"
+            | Error e -> Alcotest.failf "recv failed: %s" e
+          done)
+        conns;
+      Array.iter Client.close conns;
       let fixs =
         List.map Pipeline.index (Option.get (Apps.corpus_of_app "babelstream-f"))
       in

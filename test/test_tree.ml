@@ -120,11 +120,6 @@ let prop_ted_vs_brute =
     (QCheck.pair arb_tree arb_tree)
     (fun (a, b) -> ted a b = Ted.distance_brute ~eq:Int.equal a b)
 
-let prop_ted_int_agrees =
-  QCheck.Test.make ~name:"distance_int agrees with generic" ~count:200
-    (QCheck.pair arb_tree arb_tree)
-    (fun (a, b) -> Ted.distance_int a b = ted a b)
-
 let prop_ted_symmetric =
   QCheck.Test.make ~name:"unit-cost TED is symmetric" ~count:200
     (QCheck.pair arb_tree arb_tree)
@@ -245,38 +240,20 @@ let check_pair ~max_brute i a b c =
     let oracle = Ted.distance_brute ~eq:Int.equal a b in
     if d <> oracle then ctx "distance %d but brute-force oracle %d" d oracle
   end;
-  if Ted.distance_int a b <> d then ctx "distance_int disagrees with distance";
   if ted b a <> d then ctx "not symmetric: %d vs %d" d (ted b a);
   if d = 0 && not (Tree.equal Int.equal a b) then ctx "zero distance on unequal trees";
   if d <> 0 && Tree.equal Int.equal a b then ctx "nonzero distance %d on equal trees" d;
   if d < abs (sa - sb) then ctx "below the size-delta lower bound";
   if d > sa + sb then ctx "above the size-sum upper bound";
-  let lb = Ted.lower_bound_int a b in
-  if lb > d then ctx "histogram lower bound %d exceeds the distance %d" lb d;
   let fa = Flat.of_tree a and fb = Flat.of_tree b in
   let fd = Flat.distance fa fb in
   if fd <> d then ctx "flat kernel %d disagrees with distance %d" fd d;
   if Flat.distance fb fa <> d then
     ctx "flat kernel not symmetric: %d vs %d" (Flat.distance fb fa) d;
   let flb = Flat.lower_bound fa fb in
-  if flb <> lb then
-    ctx "Flat.lower_bound %d disagrees with Ted.lower_bound_int %d" flb lb;
+  if flb > d then ctx "Flat.lower_bound %d exceeds the distance %d" flb d;
   List.iter
     (fun cutoff ->
-      (match Ted.distance_bounded ~eq:Int.equal ~cutoff a b with
-      | Some bd ->
-          if bd <> d then ctx "distance_bounded (cutoff %d) = %d, want %d" cutoff bd d;
-          if d > cutoff then ctx "distance_bounded returned Some above cutoff %d" cutoff
-      | None ->
-          if d <= cutoff then
-            ctx "distance_bounded refused a pair within cutoff %d (d = %d)" cutoff d);
-      (match Ted.distance_bounded_int ~cutoff a b with
-      | Some bd ->
-          if bd <> d || d > cutoff then
-            ctx "distance_bounded_int (cutoff %d) = %d, want %d" cutoff bd d
-      | None ->
-          if d <= cutoff then
-            ctx "distance_bounded_int refused a pair within cutoff %d (d = %d)" cutoff d);
       match Flat.distance_bounded ~cutoff fa fb with
       | Some bd ->
           if bd <> d || d > cutoff then
@@ -394,9 +371,10 @@ let test_hashcons_equal_iff_id () =
   if !equal_pairs = 0 then
     Alcotest.fail "generator never produced an equal pair; test is vacuous"
 
-(* Canonical int views feed the TED fast path: distances through canon
-   must match the plain kernel (and the brute oracle transitively, since
-   the plain kernel is oracle-checked above). *)
+(* Canonical int views feed the TED kernels: distances through canon must
+   match the plain reference (and the brute oracle transitively, since
+   the reference is oracle-checked above), on the pointer-tree kernel and
+   on the flat kernel compiled from the shared views. *)
 let test_hashcons_canon_ted_agrees () =
   let c = Hc.canonizer ~hash:Hashtbl.hash ~equal:Int.equal () in
   let rng = Prng.create 0x7ed0_5eed in
@@ -408,15 +386,19 @@ let test_hashcons_canon_ted_agrees () =
     if Tree.equal Int.equal a b && not (ca == cb) then
       Alcotest.failf "pair %d: equal trees not physically shared" i;
     let d = ted a b in
-    if Ted.distance_int ca cb <> d then
+    if ted ca cb <> d then
       Alcotest.failf "pair %d: TED through canon %d, direct %d (%s vs %s)" i
-        (Ted.distance_int ca cb) d (show_tree a) (show_tree b);
-    if Ted.distance_int ca ca <> 0 then
+        (ted ca cb) d (show_tree a) (show_tree b);
+    let fa = Flat.of_tree ca and fb = Flat.of_tree cb in
+    if Flat.distance fa fb <> d then
+      Alcotest.failf "pair %d: flat TED through canon %d, direct %d" i
+        (Flat.distance fa fb) d;
+    if Flat.distance fa (Flat.of_tree ca) <> 0 then
       Alcotest.failf "pair %d: fast path broke the identity distance" i;
     List.iter
       (fun cutoff ->
         let want = if d <= cutoff then Some d else None in
-        if Ted.distance_bounded_int ~cutoff ca cb <> want then
+        if Flat.distance_bounded ~cutoff fa fb <> want then
           Alcotest.failf "pair %d: bounded TED through canon disagrees at cutoff %d"
             i cutoff)
       [ d - 1; d; d + 3 ]
@@ -440,15 +422,15 @@ let test_flat_degenerate () =
   in
   List.iteri
     (fun i (a, b) ->
-      let want = Ted.distance_int a b in
+      let want = Ted.distance_brute ~eq:Int.equal a b in
+      if ted a b <> want then
+        Alcotest.failf "degenerate pair %d: zs %d, brute %d" i (ted a b) want;
       let fa = Flat.of_tree a and fb = Flat.of_tree b in
       if Flat.distance fa fb <> want then
-        Alcotest.failf "degenerate pair %d: flat %d, zs %d" i (Flat.distance fa fb) want;
+        Alcotest.failf "degenerate pair %d: flat %d, brute %d" i (Flat.distance fa fb) want;
       let lb = Flat.lower_bound fa fb in
       if lb > want then
-        Alcotest.failf "degenerate pair %d: lower bound %d above distance %d" i lb want;
-      if Ted.lower_bound_int a b <> lb then
-        Alcotest.failf "degenerate pair %d: flat and tree lower bounds disagree" i)
+        Alcotest.failf "degenerate pair %d: lower bound %d above distance %d" i lb want)
     pairs;
   (* chain vs star, same size and labels: the histogram/size components
      are 0, so only the strengthened leaf/height components can prune *)
@@ -462,10 +444,9 @@ let test_flat_strategy_combs () =
   let rec left_comb n = if n <= 1 then leaf 7 else node 3 [ left_comb (n - 2); leaf 1 ] in
   let rec right_comb n = if n <= 1 then leaf 7 else node 3 [ leaf 1; right_comb (n - 2) ] in
   let a = left_comb 41 and b = right_comb 41 in
-  (* zs references first: Ted.distance_int counts its own DP runs *)
-  let zab = Ted.distance_int a b in
-  let zaa = Ted.distance_int a (left_comb 39) in
-  let zbb = Ted.distance_int b (right_comb 39) in
+  let zab = ted a b in
+  let zaa = ted a (left_comb 39) in
+  let zbb = ted b (right_comb 39) in
   let before = T.ted_snapshot () in
   let fa = Flat.of_tree a and fb = Flat.of_tree b in
   let fab = Flat.distance fa fb in
@@ -612,7 +593,7 @@ let () =
       ( "ted-properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_ted_vs_brute; prop_ted_int_agrees; prop_ted_symmetric;
+            prop_ted_vs_brute; prop_ted_symmetric;
             prop_ted_identity; prop_ted_bounds; prop_ted_triangle;
             prop_ted_zero_iff_equal; prop_custom_costs_scale;
           ] );
