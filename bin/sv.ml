@@ -105,9 +105,9 @@ let stats_arg =
     value & flag
     & info [ "stats" ]
         ~doc:
-          "Print TED engine counters after the run: pairs pruned by the \
-           digest/size/histogram cascade, DP runs and abandons, flat \
-           compiles, and left/right strategy picks.")
+          "Print TED engine counters after the run: pairs settled \
+           without a DP (equal trees, size bound, label-histogram bound), \
+           DP runs, flat compiles, and left/right strategy picks.")
 
 let fault_arg =
   Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC"

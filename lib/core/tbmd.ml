@@ -384,22 +384,9 @@ let vp_index ?(variant = Base) metric codebases =
 
 let vp_build_evals t = Sv_metric.Vptree.build_evals t.vt
 
-(* Incremental extension: route the new codebase into the existing tree
-   (amortised partial rebuilds keep it canonical) instead of rebuilding
-   the whole index — the watch-mode / growing-corpus path. The returned
-   handle shares the (mutated) tree; treat the old handle as consumed. *)
-let vp_insert t codebase =
-  let n = Array.length t.vp_arr in
-  let arr = Array.append t.vp_arr [| codebase |] in
-  let dist i j =
-    fst (raw_divergence ~variant:t.vp_variant t.vp_metric arr.(i) arr.(j))
-  in
-  Sv_metric.Vptree.insert ~dist t.vt n;
-  { t with vp_arr = arr }
-
 (* Bounded query evaluator: tree metrics go through the real bounded
-   cascade (size / histogram / branch-profile prunes fire per unit); the
-   near-free metrics just compute and threshold. *)
+   cascade (equal / size / summary-bound prunes fire per unit, then the
+   full DP); the near-free metrics just compute and threshold. *)
 let vp_bounded t query id ~cutoff =
   match t.vp_metric with
   | TSrc | TSem | TSemI | TIr ->
@@ -435,17 +422,6 @@ let vp_nearest_budgeted t ~k ?budget ?epsilon query =
         (c, dv, Div.normalised ~d:dv ~dmax:(target_size ~variant:t.vp_variant t.vp_metric c)))
       hits,
     ledger )
-
-let vp_range t ~radius query =
-  let hits, evals =
-    Sv_metric.Vptree.range ~dist_bounded:(vp_bounded t query) ~radius t.vt
-  in
-  ( List.map
-      (fun (dv, id) ->
-        let c = t.vp_arr.(id) in
-        (c, dv, Div.normalised ~d:dv ~dmax:(target_size ~variant:t.vp_variant t.vp_metric c)))
-      hits,
-    evals )
 
 let nearest ?(variant = Base) metric ~k ~query codebases =
   let t = vp_index ~variant metric codebases in

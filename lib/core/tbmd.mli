@@ -122,9 +122,11 @@ val dendrogram :
 
     "Find the nearest existing port": a VP-tree over the candidate
     codebases under the {e unnormalized} integer divergence (the true
-    metric), queried with the bounded kernel so far candidates are
-    rejected by the cheap-bound cascade instead of full DPs. Results are
-    exact — identical to a brute-force scan, ties broken by index. *)
+    metric), built once (or reloaded from the metric cache) and queried
+    with the bounded kernel so far candidates are rejected by the
+    cheap-bound cascade instead of full DPs. Exact queries equal a
+    brute-force scan, ties broken by index; the budgeted variant says
+    in its ledger whether it still does. *)
 
 type vp
 (** A built index over a fixed candidate list. *)
@@ -138,16 +140,8 @@ val vp_index :
     stats. *)
 
 val vp_build_evals : vp -> int
-(** Exact distance evaluations spent building (and inserting into) the
-    index; 0 for an index reloaded from the metric cache. *)
-
-val vp_insert : vp -> Pipeline.indexed -> vp
-(** [vp_insert t c] extends the index with one more candidate
-    incrementally (metric-routed leaf insertion, amortised scapegoat
-    rebuilds — see {!Sv_metric.Vptree.insert}) instead of rebuilding
-    over the whole corpus. Query results afterwards are identical to a
-    fresh build over the extended list. The underlying tree is mutated:
-    the old handle is consumed. *)
+(** Exact distance evaluations spent building the index; 0 for an
+    index reloaded from the metric cache. *)
 
 val vp_nearest :
   vp ->
@@ -173,13 +167,6 @@ val vp_nearest_budgeted :
     only when the budget or ε actually cut the search, and whenever it
     is true the hits equal brute force. With neither option the hits
     equal {!vp_nearest}. *)
-
-val vp_range :
-  vp ->
-  radius:int ->
-  Pipeline.indexed ->
-  (Pipeline.indexed * int * float) list * int
-(** All candidates within raw distance [radius] of the query. *)
 
 val nearest :
   ?variant:variant ->

@@ -4,7 +4,7 @@ module Vptree = Sv_metric.Vptree
 (* Bump when the VP-tree representation, the distance semantics feeding
    it, or the payload layout changes meaning: stale indexes must never
    decode as current ones. *)
-let metric_schema = 1
+let metric_schema = 2
 
 type cache = {
   store : Store.t;  (* 16-byte key -> encoded repr *)

@@ -20,7 +20,8 @@
 type cache
 
 val metric_schema : int
-(** Payload schema version; part of every key. *)
+(** Payload schema version; part of every key and of the store header,
+    so a file written under another schema loads as an empty cache. *)
 
 val create : unit -> cache
 

@@ -3,23 +3,16 @@ type node =
   | Node of {
       v : int;
       mu : int;
-      count : int;  (** current subtree size, vantage included *)
-      built : int;  (** subtree size when this node was last (re)built *)
+      count : int;  (** subtree size, vantage included *)
       inside : node;
       outside : node;
     }
 
-type t = {
-  mutable root : node;
-  mutable n : int;
-  mutable build_evals : int;
-  mutable rebuilds : int;
-}
+type t = { root : node; n : int; build_evals : int }
 
 let leaf_cap = 4
 let size t = t.n
 let build_evals t = t.build_evals
-let rebuilds t = t.rebuilds
 
 let node_size = function Leaf ids -> Array.length ids | Node n -> n.count
 
@@ -46,8 +39,7 @@ let elements t =
    Even when every distance equals μ the vantage leaves the subset, so
    the recursion strictly shrinks and terminates. Partition preserves
    the ascending id order of the input, so the whole structure is a
-   function of the id set and the metric alone — a rebuilt subtree is
-   byte-identical to a freshly built one over the same ids. *)
+   function of the id set and the metric alone. *)
 let rec make ~d ids =
   if Array.length ids <= leaf_cap then Leaf ids
   else begin
@@ -73,13 +65,11 @@ let rec make ~d ids =
           incr o
         end)
       rest;
-    let count = Array.length ids in
     Node
       {
         v;
         mu;
-        count;
-        built = count;
+        count = Array.length ids;
         inside = make ~d inside;
         outside = make ~d outside;
       }
@@ -94,66 +84,7 @@ let build ~dist ids =
   let ids = Array.copy ids in
   Array.sort compare ids;
   let root = make ~d ids in
-  { root; n = Array.length ids; build_evals = !evals; rebuilds = 0 }
-
-(* --- incremental insert ----------------------------------------------- *)
-
-let collect node =
-  let acc = ref [] in
-  let rec go = function
-    | Leaf ids -> Array.iter (fun i -> acc := i :: !acc) ids
-    | Node { v; inside; outside; _ } ->
-        acc := v :: !acc;
-        go inside;
-        go outside
-  in
-  go node;
-  !acc
-
-(* Scapegoat-style amortisation: route the new id down by the metric
-   (inside iff d(v,x) ≤ μ, which preserves the partition invariant the
-   queries rely on), appending at a leaf; but once a subtree has grown
-   past twice the size it was built at — or a leaf past 2·leaf_cap — give
-   up on patching and rebuild that whole subtree from its sorted id set.
-   The rebuild is [make] over sorted ids, i.e. exactly the structure a
-   fresh [build] would produce there, so repeated inserts can degrade a
-   subtree's balance only by a bounded factor before it snaps back to
-   canonical form; total rebuild work telescopes to O(log n) amortised
-   evaluations per insert on top of the O(depth) routing evaluations. *)
-let insert ~dist t x =
-  let evals = ref 0 in
-  let d a b =
-    incr evals;
-    dist a b
-  in
-  let rebuild node =
-    t.rebuilds <- t.rebuilds + 1;
-    let ids = Array.of_list (x :: collect node) in
-    Array.sort compare ids;
-    make ~d ids
-  in
-  let rec ins node =
-    match node with
-    | Leaf ids ->
-        if Array.length ids >= 2 * leaf_cap then rebuild node
-        else begin
-          let ids' = Array.append ids [| x |] in
-          Array.sort compare ids';
-          Leaf ids'
-        end
-    | Node { v; mu; count; built; inside; outside } ->
-        if count + 1 > 2 * built then rebuild node
-        else begin
-          let dv = d v x in
-          if dv <= mu then
-            Node { v; mu; count = count + 1; built; inside = ins inside; outside }
-          else
-            Node { v; mu; count = count + 1; built; inside; outside = ins outside }
-        end
-  in
-  t.root <- ins t.root;
-  t.n <- t.n + 1;
-  t.build_evals <- t.build_evals + !evals
+  { root; n = Array.length ids; build_evals = !evals }
 
 (* --- plain-data representation ---------------------------------------- *)
 
@@ -161,15 +92,14 @@ let insert ~dist t x =
    index (the codec and the digest-keyed cache live in [Sv_db], which
    this library must not depend on):
      header  [n]
-     leaf    [0; len; id…]
-     node    [1; v; mu; count; built; inside…; outside…]
-   [of_repr] re-validates everything structural — tags, lengths, the
-   count bookkeeping, the rebuild invariant count ≤ 2·built, μ ≥ 0,
-   distinct ids, no trailing words — so a decoded-but-mangled payload
-   yields [None] (cold rebuild) rather than a tree that breaks the
-   query invariants. Metric facts (μ really is the inside radius) are
-   not checkable without the evaluator; the cache layer guards those by
-   keying payloads on the corpus digest. *)
+     leaf    [0; len; id…]            len ≤ leaf_cap
+     node    [1; v; mu; count; inside…; outside…]
+   [of_repr] re-validates everything structural — tags, leaf lengths,
+   the count bookkeeping, μ ≥ 0, distinct ids, no trailing words — so a
+   decoded-but-mangled payload yields [None] (cold rebuild) rather than
+   a tree that breaks the query invariants. Metric facts (μ really is
+   the inside radius) are not checkable without the evaluator; the
+   cache layer guards those by keying payloads on the corpus digest. *)
 let to_repr t =
   let out = ref [] in
   let push x = out := x :: !out in
@@ -178,12 +108,11 @@ let to_repr t =
         push 0;
         push (Array.length ids);
         Array.iter push ids
-    | Node { v; mu; count; built; inside; outside } ->
+    | Node { v; mu; count; inside; outside } ->
         push 1;
         push v;
         push mu;
         push count;
-        push built;
         go inside;
         go outside
   in
@@ -208,7 +137,7 @@ let of_repr a =
     match take () with
     | 0 ->
         let l = take () in
-        if l < 0 || l > 2 * leaf_cap || !pos + l > len then raise Bad;
+        if l < 0 || l > leaf_cap || !pos + l > len then raise Bad;
         let ids = Array.sub a !pos l in
         pos := !pos + l;
         Leaf ids
@@ -216,13 +145,11 @@ let of_repr a =
         let v = take () in
         let mu = take () in
         let count = take () in
-        let built = take () in
-        if mu < 0 || built < 1 || count < built || count > 2 * built then
-          raise Bad;
+        if mu < 0 then raise Bad;
         let inside = node () in
         let outside = node () in
         if count <> 1 + node_size inside + node_size outside then raise Bad;
-        Node { v; mu; count; built; inside; outside }
+        Node { v; mu; count; inside; outside }
     | _ -> raise Bad
   in
   match
@@ -231,12 +158,12 @@ let of_repr a =
     if !pos <> len then raise Bad;
     if node_size root <> n then raise Bad;
     (* ids must be distinct: duplicates would silently double-count *)
-    let ids = Array.of_list (collect root) in
-    Array.sort compare ids;
+    let t = { root; n; build_evals = 0 } in
+    let ids = elements t in
     for i = 1 to n - 1 do
       if ids.(i) = ids.(i - 1) then raise Bad
     done;
-    { root; n; build_evals = 0; rebuilds = 0 }
+    t
   with
   | t -> Some t
   | exception Bad -> None
@@ -457,33 +384,4 @@ let nearest_budgeted ~dist_bounded ~k ?budget ?(epsilon = 0.) t =
      with Stop -> ());
     ( best.Best.xs,
       { evals = !evals; guaranteed_exact = not (!budget_cut || !eps_cut) } )
-  end
-
-let range ~dist_bounded ~radius t =
-  if radius < 0 then ([], 0)
-  else begin
-    let evals = ref 0 in
-    let dq id ~cutoff =
-      incr evals;
-      dist_bounded id ~cutoff
-    in
-    let hits = ref [] in
-    let rec visit = function
-      | Leaf ids ->
-          Array.iter
-            (fun id ->
-              match dq id ~cutoff:radius with
-              | Some dv -> hits := (dv, id) :: !hits
-              | None -> ())
-            ids
-      | Node { v; mu; inside; outside; _ } -> (
-          match dq v ~cutoff:(sat_add radius mu) with
-          | None -> visit outside
-          | Some dv ->
-              if dv <= radius then hits := (dv, v) :: !hits;
-              if dv - mu <= radius then visit inside;
-              if mu - dv <= radius then visit outside)
-    in
-    visit t.root;
-    (List.sort compare !hits, !evals)
   end

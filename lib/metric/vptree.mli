@@ -1,20 +1,19 @@
-(** Vantage-point tree over an integer metric: exact k-NN and range
-    queries with triangle-inequality pruning, incremental insert with
-    deterministic partial rebuilds, a budgeted/ε-approximate best-first
-    mode with an honest exactness ledger, and a plain-data
+(** Vantage-point tree over an integer metric: a deterministic build,
+    exact k-NN with triangle-inequality pruning, a budgeted/ε-approximate
+    best-first k-NN with an honest exactness ledger, and a plain-data
     representation for persistence.
 
     Elements are caller-side integer ids; the tree stores no payloads.
     Construction and queries are fully deterministic (vantage = lowest
     id, μ = lower median, ties in results broken by id), so query
     answers are {e exactly} the brute-force answers — the k smallest
-    (distance, id) pairs, or all elements within the radius — not an
-    approximation, unless the caller explicitly asks for the budgeted
-    mode. Queries take a {e bounded} distance evaluator so the caller's
-    cheap-bound cascade (size / histogram / pq-gram / binary-branch
-    profile, for TED) fires on every pruned comparison; the second
-    component of each result is the number of evaluator calls, the
-    honest measure of work against the brute-force n. *)
+    (distance, id) pairs — not an approximation, unless the caller
+    explicitly asks for the budgeted mode. Queries take a {e bounded}
+    distance evaluator so the caller's cheap-bound cascade (size and
+    label-histogram summary bounds, for TED) fires on every pruned
+    comparison; the second component of each result is the number of
+    evaluator calls, the honest measure of work against the brute-force
+    n. *)
 
 type t
 
@@ -30,37 +29,21 @@ val elements : t -> int array
     that persist trees keyed positionally into a candidate array. *)
 
 val build_evals : t -> int
-(** Exact-distance evaluations spent building and inserting (amortised
-    over queries). A tree decoded from {!of_repr} reports 0 — queries
+(** Exact-distance evaluations spent building (amortised over
+    queries). A tree decoded from {!of_repr} reports 0 — queries
     against a persisted index pay no construction evaluations at all. *)
-
-val rebuilds : t -> int
-(** Partial rebuilds triggered by {!insert}'s imbalance threshold. *)
-
-val insert : dist:(int -> int -> int) -> t -> int -> unit
-(** [insert ~dist t id] adds [id] to the index in place. The new id is
-    routed down by the metric (preserving the partition invariant every
-    query relies on) and appended at a leaf; any subtree that has grown
-    past twice the size it was last built at — or a leaf past twice the
-    leaf capacity — is instead rebuilt from its sorted id set, which is
-    {e exactly} the structure a fresh {!build} would produce there
-    (scapegoat-style amortisation: O(log n) amortised evaluations per
-    insert on top of O(depth) routing evaluations). [dist] must be the
-    same metric the tree was built with. Query results after any
-    sequence of inserts are identical to brute force, hence to a fresh
-    build over the union — property-tested. *)
 
 val to_repr : t -> int array
 (** Flatten to a plain preorder int array (sizes, radii, ids — no
     closures), suitable for serialisation by a layer that may not
-    depend on this one. [build_evals]/[rebuilds] are working-set
-    telemetry and deliberately not part of the representation. *)
+    depend on this one. [build_evals] is working-set telemetry and
+    deliberately not part of the representation. *)
 
 val of_repr : int array -> t option
 (** Rebuild a tree from {!to_repr} output. Defensively validates every
-    structural invariant — tags, leaf lengths, subtree-count
-    bookkeeping, the rebuild invariant, μ ≥ 0, distinct ids, no
-    trailing data — and returns [None] on any violation, so corrupt
+    structural invariant — tags, leaf lengths (at most the leaf
+    capacity {!build} uses), subtree-count bookkeeping, μ ≥ 0, distinct
+    ids, no trailing data — and returns [None] on any violation, so corrupt
     payloads degrade to a cold rebuild instead of wrong answers.
     Metric-dependent facts (that μ really brackets the inside ball) are
     not checkable without the evaluator; persist under a key that
@@ -102,11 +85,3 @@ val nearest_budgeted :
     (1+ε)× the true rank-i distance; a budget stop makes no distance
     promise beyond the ledger's honesty. With neither given, results
     equal {!nearest} (and brute force) exactly. *)
-
-val range :
-  dist_bounded:(int -> cutoff:int -> int option) ->
-  radius:int ->
-  t ->
-  (int * int) list * int
-(** All elements within [radius] of the query point, ascending
-    [(distance, id)], plus the evaluator-call count. *)

@@ -35,10 +35,11 @@ val tree_distance : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 val tree_distance_bounded :
   cutoff:int -> Sv_tree.Label.tree -> Sv_tree.Label.tree -> int option
 (** [tree_distance_bounded ~cutoff t1 t2] is [Some d] iff
-    [tree_distance t1 t2 = d <= cutoff]. Uses the lower-bound cascade
-    and in-DP early exit of {!Sv_tree.Flat.distance_bounded}, so
-    rejections are far cheaper than a full TED — the VP-tree's query
-    path when only "within threshold?" matters. *)
+    [tree_distance t1 t2 = d <= cutoff]. Equal trees (one intern id)
+    answer [Some 0] here; other pairs go through the size and summary
+    bounds of {!Sv_tree.Flat.distance_bounded}, so pairs those bounds
+    separate are rejected without a DP — the VP-tree's query path when
+    only "within threshold?" matters. *)
 
 val tree_distance_matched : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 (** [tree_distance_matched t1 t2] approximates {!tree_distance} by the

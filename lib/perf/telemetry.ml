@@ -2,9 +2,6 @@ type ted = {
   mutable equal_prunes : int;
   mutable size_prunes : int;
   mutable hist_prunes : int;
-  mutable pqg_prunes : int;
-  mutable pq_prunes : int;
-  mutable cutoff_abandons : int;
   mutable dp_runs : int;
   mutable flat_compiles : int;
   mutable scratch_grows : int;
@@ -17,9 +14,6 @@ let zero () =
     equal_prunes = 0;
     size_prunes = 0;
     hist_prunes = 0;
-    pqg_prunes = 0;
-    pq_prunes = 0;
-    cutoff_abandons = 0;
     dp_runs = 0;
     flat_compiles = 0;
     scratch_grows = 0;
@@ -33,9 +27,6 @@ let reset_ted () =
   ted.equal_prunes <- 0;
   ted.size_prunes <- 0;
   ted.hist_prunes <- 0;
-  ted.pqg_prunes <- 0;
-  ted.pq_prunes <- 0;
-  ted.cutoff_abandons <- 0;
   ted.dp_runs <- 0;
   ted.flat_compiles <- 0;
   ted.scratch_grows <- 0;
@@ -49,9 +40,6 @@ let ted_diff ~before ~after =
     equal_prunes = after.equal_prunes - before.equal_prunes;
     size_prunes = after.size_prunes - before.size_prunes;
     hist_prunes = after.hist_prunes - before.hist_prunes;
-    pqg_prunes = after.pqg_prunes - before.pqg_prunes;
-    pq_prunes = after.pq_prunes - before.pq_prunes;
-    cutoff_abandons = after.cutoff_abandons - before.cutoff_abandons;
     dp_runs = after.dp_runs - before.dp_runs;
     flat_compiles = after.flat_compiles - before.flat_compiles;
     scratch_grows = after.scratch_grows - before.scratch_grows;
@@ -59,17 +47,13 @@ let ted_diff ~before ~after =
     strategy_right = after.strategy_right - before.strategy_right;
   }
 
-let ted_pruned t =
-  t.equal_prunes + t.size_prunes + t.hist_prunes + t.pqg_prunes + t.pq_prunes
+let ted_pruned t = t.equal_prunes + t.size_prunes + t.hist_prunes
 
 let ted_rows t =
   [
-    ("pruned: equal/digest", t.equal_prunes);
+    ("pruned: equal", t.equal_prunes);
     ("pruned: size bound", t.size_prunes);
     ("pruned: label histogram", t.hist_prunes);
-    ("pruned: pq-gram profile", t.pqg_prunes);
-    ("pruned: branch profile", t.pq_prunes);
-    ("DP abandoned at cutoff", t.cutoff_abandons);
     ("DP runs", t.dp_runs);
     ("flat compiles", t.flat_compiles);
     ("scratch growths", t.scratch_grows);
@@ -78,12 +62,11 @@ let ted_rows t =
   ]
 
 let ted_to_string t =
-  let queries = ted_pruned t + t.dp_runs in
+  let pairs = ted_pruned t + t.dp_runs in
   Printf.sprintf
-    "ted: %d bounded queries pruned of %d (equal %d, size %d, hist %d, pqgram \
-     %d, branch %d), %d DP runs (%d abandoned), %d flats, strategy L/R %d/%d"
-    (ted_pruned t) queries t.equal_prunes t.size_prunes t.hist_prunes
-    t.pqg_prunes t.pq_prunes t.dp_runs t.cutoff_abandons
+    "ted: %d of %d pairs settled without a DP (equal %d, size %d, hist %d), \
+     %d DP runs, %d flats, strategy L/R %d/%d"
+    (ted_pruned t) pairs t.equal_prunes t.size_prunes t.hist_prunes t.dp_runs
     t.flat_compiles t.strategy_left t.strategy_right
 
 (* --- service counters --- *)

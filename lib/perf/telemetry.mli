@@ -1,6 +1,6 @@
 (** Process-wide performance counters for the hot engines.
 
-    The TED pruning cascade (digest equality, size bound, label-histogram
+    The TED pruning cascade (equality, size bound, label-histogram
     lower bound) decides per pair whether the DP runs at all; these
     counters record those decisions so `sv compare --stats` and perfbench
     can report prune rates next to wall-clock numbers. Counters
@@ -11,22 +11,13 @@
 
 type ted = {
   mutable equal_prunes : int;
-      (** pairs answered 0 by pointer/digest equality, no DP *)
+      (** pairs answered 0 by equality (intern id or pointer), no DP;
+          bounded queries and unbounded matrix cells alike *)
   mutable size_prunes : int;
       (** bounded queries rejected by the size-difference bound alone *)
   mutable hist_prunes : int;
-      (** bounded queries rejected by the label-histogram lower bound *)
-  mutable pqg_prunes : int;
-      (** bounded queries rejected by the pq-gram profile bound (the
-          parent-extended Augsten-style label-tuple L1/9 distance) after
-          the histogram passed; sits ahead of the branch profile in the
-          cascade so the two stages' prune counts attribute cleanly *)
-  mutable pq_prunes : int;
-      (** bounded queries rejected by the binary-branch profile bound
-          (the Yang–Kalnis–Tung triple L1/5 distance) after the pq-gram
-          profile passed *)
-  mutable cutoff_abandons : int;
-      (** DP runs abandoned mid-flight once the cutoff became unreachable *)
+      (** bounded queries rejected by the summary lower bound (label
+          histogram, leaf count, height) after the size bound passed *)
   mutable dp_runs : int;  (** full flat-kernel runs *)
   mutable flat_compiles : int;  (** trees compiled to flat form *)
   mutable scratch_grows : int;  (** geometric growths of the DP scratch *)

@@ -15,32 +15,13 @@ type dir = { labels : buf; lml : buf; keyroots : buf; kcost : int }
 
 type t = {
   size : int;
-  digest : int64;
   nleaves : int;
   height : int;
   left : dir;
   right : dir;
   hist_labels : int array;
   hist_counts : int array;
-  bb_keys : int array;
-  bb_counts : int array;
-  pq_keys : int array;
-  pq_counts : int array;
 }
-
-(* splitmix64 avalanche, the same mixer (and fold) as [Hashcons], so a
-   flat compiled from a canonical int view carries the table's digest. *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let rec digest_tree (Tree.Node (x, cs)) =
-  let seed = mix64 (Int64.add (Int64.of_int x) 0x9E3779B97F4A7C15L) in
-  List.fold_left
-    (fun acc c -> mix64 (Int64.logxor (Int64.mul acc 0x100000001B3L) (digest_tree c)))
-    seed cs
 
 let compile_dir ~mirror t n =
   let labels = buf (n + 1) and lml = buf (n + 1) in
@@ -84,23 +65,8 @@ let compile_dir ~mirror t n =
     !krs;
   { labels; lml; keyroots; kcost = !kcost }
 
-(* Binary-branch profile (Yang, Kalnis & Tung, SIGMOD'05): under the
-   first-child/next-sibling transform every node contributes the triple
-   (label, first-child label or ε, next-sibling label or ε), and the L1
-   distance between the two triple multisets is at most 5× the unit-cost
-   TED — any single edit operation rewrites at most five triples. Triples
-   are hashed to 62-bit keys: merging distinct triples into one bin can
-   only cancel mass, i.e. shrink the L1, so hashing preserves
-   admissibility (and collisions are vanishing at 62 bits anyway). *)
-let bb_key x cp c sp s =
-  let open Int64 in
-  let step h v = mix64 (logxor (mul h 0x100000001B3L) (of_int v)) in
-  let h = mix64 (add (of_int x) 0x9E3779B97F4A7C15L) in
-  let h = step (step (step (step h cp) c) sp) s in
-  to_int (shift_right_logical h 2)
-
-(* Sorted run-length encoding of a key multiset: (distinct keys ascending,
-   matching counts). Shared by the branch and pq-gram profiles. *)
+(* Sorted run-length encoding of a label multiset: (distinct labels
+   ascending, matching counts). Sorts [keys] in place. *)
 let rle_sorted keys =
   Array.sort compare keys;
   let runs = ref 0 in
@@ -116,71 +82,6 @@ let rle_sorted keys =
       out_counts.(!r) <- out_counts.(!r) + 1)
     keys;
   (out_keys, out_counts)
-
-let bb_profile t n =
-  let keys = Array.make n 0 in
-  let next = ref 0 in
-  let rec go sp s (Tree.Node (x, cs)) =
-    let cp, c = match cs with [] -> (0, 0) | Tree.Node (y, _) :: _ -> (1, y) in
-    keys.(!next) <- bb_key x cp c sp s;
-    incr next;
-    let rec kids = function
-      | [] -> ()
-      | [ last ] -> go 0 0 last
-      | a :: (Tree.Node (y, _) :: _ as rest) ->
-          go 1 y a;
-          kids rest
-    in
-    kids cs
-  in
-  go 0 0 t;
-  rle_sorted keys
-
-(* pq-gram profile (Augsten, Böhlen & Gamper style label tuples): the
-   binary-branch triple of each node, extended one level up the
-   first-child/next-sibling transform with the node's binary parent —
-   (bparent label, which side, label, first-child label, next-sibling
-   label), ε slots encoded as presence bits. Each node's label occurs in
-   at most 4 tuples (its own, its binary parent's child slot, and the pl
-   slot of its ≤2 binary children), so a relabel moves the profile L1 by
-   ≤ 8; a delete/insert rewrites the tuples of the ≤ 4 structurally
-   affected neighbours (binary parent, first child, last child, next
-   sibling) and removes/adds the node's own, moving the L1 by ≤ 9. Hence
-   ⌈L1/9⌉ is an admissible TED lower bound. The finer tuples carry more
-   mismatch mass than the raw triples, so despite the larger divisor this
-   bound frequently beats ⌈L1_bb/5⌉ on locally-permuted trees; the
-   cascade runs it first and attributes its prunes separately. Hashing
-   tuples into 62-bit bins only ever cancels mass, preserving
-   admissibility exactly as for [bb_key]. *)
-let pq_key x cp c sp s pp pl side =
-  let open Int64 in
-  let step h v = mix64 (logxor (mul h 0x100000001B3L) (of_int v)) in
-  let h = mix64 (add (of_int x) 0x243F6A8885A308D3L) in
-  let h = step (step (step (step h cp) c) sp) s in
-  let h = step (step (step h pp) pl) side in
-  to_int (shift_right_logical h 2)
-
-let pq_profile t n =
-  let keys = Array.make n 0 in
-  let next = ref 0 in
-  (* [pp]/[pl]/[side]: binary-parent presence, label, and which slot this
-     node fills there (1 = first child of its tree parent, 2 = next
-     sibling of its previous sibling, 0 = root). *)
-  let rec go pp pl side sp s (Tree.Node (x, cs)) =
-    let cp, c = match cs with [] -> (0, 0) | Tree.Node (y, _) :: _ -> (1, y) in
-    keys.(!next) <- pq_key x cp c sp s pp pl side;
-    incr next;
-    let rec kids side' pl' = function
-      | [] -> ()
-      | [ last ] -> go 1 pl' side' 0 0 last
-      | (Tree.Node (y, _) as a) :: (Tree.Node (z, _) :: _ as rest) ->
-          go 1 pl' side' 1 z a;
-          kids 2 y rest
-    in
-    kids 1 x cs
-  in
-  go 0 0 0 0 0 t;
-  rle_sorted keys
 
 let of_tree t =
   T.ted.T.flat_compiles <- T.ted.T.flat_compiles + 1;
@@ -198,39 +99,12 @@ let of_tree t =
   let height = stats 1 t in
   (* label histogram straight off the postorder array, sorted and
      run-length encoded so the lower bound intersects in O(k₁+k₂) *)
-  let sorted = Array.init n (fun i -> A.unsafe_get left.labels (i + 1)) in
-  Array.sort compare sorted;
-  let runs = ref 0 in
-  Array.iteri (fun i x -> if i = 0 || sorted.(i - 1) <> x then incr runs) sorted;
-  let hist_labels = Array.make !runs 0 and hist_counts = Array.make !runs 0 in
-  let r = ref (-1) in
-  Array.iteri
-    (fun i x ->
-      if i = 0 || sorted.(i - 1) <> x then begin
-        incr r;
-        hist_labels.(!r) <- x
-      end;
-      hist_counts.(!r) <- hist_counts.(!r) + 1)
-    sorted;
-  let bb_keys, bb_counts = bb_profile t n in
-  let pq_keys, pq_counts = pq_profile t n in
-  {
-    size = n;
-    digest = digest_tree t;
-    nleaves = !nleaves;
-    height;
-    left;
-    right;
-    hist_labels;
-    hist_counts;
-    bb_keys;
-    bb_counts;
-    pq_keys;
-    pq_counts;
-  }
+  let hist_labels, hist_counts =
+    rle_sorted (Array.init n (fun i -> A.unsafe_get left.labels (i + 1)))
+  in
+  { size = n; nleaves = !nleaves; height; left; right; hist_labels; hist_counts }
 
 let size f = f.size
-let digest f = f.digest
 
 (* Admissible lower bound on the unit-cost TED, from compile-time
    summaries only. Each component counts edits a single operation can
@@ -239,7 +113,7 @@ let digest f = f.digest
    min(n₁,n₂) nodes map, and only label-equal mapped pairs are free),
    leaf-count delta and height delta (no operation moves either by more
    than one). *)
-let summary_bound a b =
+let lower_bound a b =
   let common = ref 0 in
   let i = ref 0 and j = ref 0 in
   let ka = Array.length a.hist_labels and kb = Array.length b.hist_labels in
@@ -257,46 +131,6 @@ let summary_bound a b =
   let m = max m (max a.size b.size - !common) in
   let m = max m (abs (a.nleaves - b.nleaves)) in
   max m (abs (a.height - b.height))
-
-(* L1 distance between sorted run-length-encoded profiles: a merge walk
-   over the key arrays, unmatched bins contribute their whole count. *)
-let l1_rle ak ac bk bc =
-  let l1 = ref 0 in
-  let i = ref 0 and j = ref 0 in
-  let ka = Array.length ak and kb = Array.length bk in
-  while !i < ka && !j < kb do
-    let la = ak.(!i) and lb = bk.(!j) in
-    if la < lb then begin
-      l1 := !l1 + ac.(!i);
-      incr i
-    end
-    else if lb < la then begin
-      l1 := !l1 + bc.(!j);
-      incr j
-    end
-    else begin
-      l1 := !l1 + abs (ac.(!i) - bc.(!j));
-      incr i;
-      incr j
-    end
-  done;
-  while !i < ka do
-    l1 := !l1 + ac.(!i);
-    incr i
-  done;
-  while !j < kb do
-    l1 := !l1 + bc.(!j);
-    incr j
-  done;
-  !l1
-
-let bb_l1 a b = l1_rle a.bb_keys a.bb_counts b.bb_keys b.bb_counts
-let pq_l1 a b = l1_rle a.pq_keys a.pq_counts b.pq_keys b.pq_counts
-let branch_bound a b = (bb_l1 a b + 4) / 5
-let pqgram_bound a b = (pq_l1 a b + 8) / 9
-
-let lower_bound a b =
-  max (summary_bound a b) (max (pqgram_bound a b) (branch_bound a b))
 
 (* --- scratch buffers -------------------------------------------------- *)
 
@@ -329,19 +163,11 @@ let reserve ?(scratch = shared) n1 n2 =
 
 (* --- the kernel ------------------------------------------------------- *)
 
-exception Cutoff
-
 (* Zhang–Shasha over flat arrays. [st]/[sf] are the row strides of the td
    and fd buffers. Integer mins are written out as compares: without
    flambda a [Stdlib.min] per cell is a generic-compare call, and this
-   loop runs billions of cells per matrix. [cutoff < max_int] additionally
-   early-abandons on the final keyroot pair (whole tree against whole
-   tree): each fd row cell is a genuine postorder-prefix distance there,
-   and restricting an optimal mapping to the first [di] nodes of t1
-   shows the final distance is at least the cell of the column it
-   induces plus the remaining size imbalance. So if every column's floor
-   exceeds the cutoff, no completion can come in under it. *)
-let zs ~td ~fd ~cutoff d1 d2 n1 n2 =
+   loop runs billions of cells per matrix. *)
+let zs ~td ~fd d1 d2 n1 n2 =
   let st = n2 + 1 and sf = n2 + 2 in
   let l1 = d1.lml and l2 = d2.lml in
   let lab1 = d1.labels and lab2 = d2.labels in
@@ -355,7 +181,6 @@ let zs ~td ~fd ~cutoff d1 d2 n1 n2 =
       let j = A.unsafe_get kr2 kj in
       let lj = A.unsafe_get l2 j in
       let h = j - lj + 2 in
-      let final = cutoff < max_int && i = n1 && j = n2 in
       for dj = 0 to h - 1 do
         Array.unsafe_set fd dj dj
       done;
@@ -417,17 +242,6 @@ let zs ~td ~fd ~cutoff d1 d2 n1 n2 =
             Array.unsafe_set fd (row + dj) v;
             left := v
           done
-        end;
-        if final then begin
-          let rem1 = w - 1 - di in
-          let best = ref max_int in
-          for dj = 0 to h - 1 do
-            let imb = rem1 - (h - 1 - dj) in
-            let imb = if imb >= 0 then imb else -imb in
-            let floor = Array.unsafe_get fd (row + dj) + imb in
-            if floor < !best then best := floor
-          done;
-          if !best > cutoff then raise Cutoff
         end
       done
     done
@@ -439,7 +253,7 @@ let zs ~td ~fd ~cutoff d1 d2 n1 n2 =
    pair the cheaper decomposition direction wins: ZS work is proportional
    to kcost₁ · kcost₂, which left- and right-leaning trees skew by large
    factors. Ties go left, keeping the choice deterministic. *)
-let run_dp ~scratch ~cutoff a b =
+let run_dp ~scratch a b =
   reserve ~scratch a.size b.size;
   let use_left = a.left.kcost * b.left.kcost <= a.right.kcost * b.right.kcost in
   if use_left then T.ted.T.strategy_left <- T.ted.T.strategy_left + 1
@@ -447,24 +261,25 @@ let run_dp ~scratch ~cutoff a b =
   T.ted.T.dp_runs <- T.ted.T.dp_runs + 1;
   let d1 = if use_left then a.left else a.right in
   let d2 = if use_left then b.left else b.right in
-  zs ~td:scratch.td ~fd:scratch.fd ~cutoff d1 d2 a.size b.size
+  zs ~td:scratch.td ~fd:scratch.fd d1 d2 a.size b.size
 
-let equal_flat a b = a == b || (a.digest = b.digest && a.size = b.size)
-
+(* Equality is physical only: callers that can tell equal trees apart
+   cheaply (the divergence layer, by intern id) do so before calling in,
+   and separately compiled flats of one tree simply take the DP. *)
 let distance ?(scratch = shared) a b =
-  if equal_flat a b then begin
+  if a == b then begin
     T.ted.T.equal_prunes <- T.ted.T.equal_prunes + 1;
     0
   end
-  else run_dp ~scratch ~cutoff:max_int a b
+  else run_dp ~scratch a b
 
-(* The pruning cascade, cheapest test first: digest equality (free), the
-   size-difference bound, the histogram/leaves/height lower bound, the
-   pq-gram profile bound, the binary-branch profile bound, then — only
-   for pairs no bound settles — the DP with in-flight abandon. *)
+(* The pruning cascade, cheapest test first: pointer equality, the
+   size-difference bound, the histogram/leaves/height lower bound, then
+   — only for pairs no bound settles — the full DP, whose result is
+   compared with the cutoff. *)
 let distance_bounded ?(scratch = shared) ~cutoff a b =
   if cutoff < 0 then None
-  else if equal_flat a b then begin
+  else if a == b then begin
     T.ted.T.equal_prunes <- T.ted.T.equal_prunes + 1;
     Some 0
   end
@@ -472,24 +287,10 @@ let distance_bounded ?(scratch = shared) ~cutoff a b =
     T.ted.T.size_prunes <- T.ted.T.size_prunes + 1;
     None
   end
-  else if summary_bound a b > cutoff then begin
+  else if lower_bound a b > cutoff then begin
     T.ted.T.hist_prunes <- T.ted.T.hist_prunes + 1;
     None
   end
-  else if pqgram_bound a b > cutoff then begin
-    T.ted.T.pqg_prunes <- T.ted.T.pqg_prunes + 1;
-    None
-  end
-  else if branch_bound a b > cutoff then begin
-    T.ted.T.pq_prunes <- T.ted.T.pq_prunes + 1;
-    None
-  end
-  else if a.size + b.size <= cutoff then
-    (* the size-sum upper bound already fits: never abandons *)
-    Some (run_dp ~scratch ~cutoff:max_int a b)
   else
-    match run_dp ~scratch ~cutoff a b with
-    | d -> if d <= cutoff then Some d else None
-    | exception Cutoff ->
-        T.ted.T.cutoff_abandons <- T.ted.T.cutoff_abandons + 1;
-        None
+    let d = run_dp ~scratch a b in
+    if d <= cutoff then Some d else None

@@ -8,12 +8,13 @@
     zero allocation and no polymorphic-compare calls in the O(n₁·n₂·…)
     inner loops. Per pair the kernel picks the cheaper direction (left
     path, or right path via the mirror decomposition — the distance is
-    mirror-invariant), and bounded queries pass a pruning cascade (digest
-    equality, size bound, label-histogram/leaves/height lower bound,
-    pq-gram profile bound, binary-branch profile bound) before any DP
-    cell is touched. Distances are exactly those of the pointer-tree
-    reference {!Ted.distance}; the test suites check the two kernels
-    cell by cell over whole corpora.
+    mirror-invariant), and bounded queries pass a pruning cascade
+    (pointer equality, size bound, label-histogram/leaves/height lower
+    bound) before any DP cell is touched; a pair no stage settles runs
+    the full DP and is compared with the cutoff afterwards. Distances
+    are exactly those of the pointer-tree reference {!Ted.distance};
+    the test suites check the two kernels cell by cell over whole
+    corpora.
 
     Counters for prunes, DP runs, compiles and strategy picks accumulate
     in {!Sv_perf.Telemetry.ted}. *)
@@ -32,10 +33,6 @@ val of_tree : int Tree.t -> t
     per distinct tree by the callers that cache flats. *)
 
 val size : t -> int
-val digest : t -> int64
-(** Structural splitmix64 digest; equal trees have equal digests, and a
-    flat compiled from a {!Hashcons} canonical int view carries the
-    table's digest (same mixer, label ids {e are} the labels there). *)
 
 val scratch : unit -> scratch
 (** A fresh, empty scratch context. *)
@@ -47,35 +44,19 @@ val reserve : ?scratch:scratch -> int -> int -> unit
 
 val lower_bound : t -> t -> int
 (** Admissible lower bound on the unit-cost TED from compile-time
-    summaries only (O(k₁+k₂) in distinct labels / profile bins): the
-    maximum of the size delta, the unmatched label mass, the leaf-count
-    delta, the height delta, the binary-branch profile bound
-    ⌈‖BRV₁−BRV₂‖₁ / 5⌉ (Yang–Kalnis–Tung): one edit operation rewrites at
-    most five (label, first-child, next-sibling) triples, so the L1
-    distance between the triple multisets is ≤ 5·TED — and the pq-gram
-    profile bound ⌈‖PQ₁−PQ₂‖₁ / 9⌉ over the parent-extended tuples (one
-    edit rewrites at most nine of those). Dominates the old
-    four-component bound pointwise. *)
-
-val branch_bound : t -> t -> int
-(** The binary-branch component of {!lower_bound} alone (for telemetry
-    and property tests). *)
-
-val pqgram_bound : t -> t -> int
-(** The pq-gram component of {!lower_bound} alone: Augsten-style label
-    tuples (binary parent + side, label, first-child, next-sibling) over
-    the first-child/next-sibling transform, ⌈L1/9⌉ of the profile
-    difference. Admissible — see the factor-9 argument at the profile
-    builder; property-tested against the brute oracle. Runs ahead of
-    {!branch_bound} in the bounded cascade with its own prune counter. *)
+    summaries only (O(k₁+k₂) in distinct labels): the maximum of the
+    size delta, the unmatched label mass, the leaf-count delta and the
+    height delta — one edit operation moves each by at most one. *)
 
 val distance : ?scratch:scratch -> t -> t -> int
 (** Exact unit-cost TED; equals [Ted.distance] on the source trees.
-    Equal flats (pointer or digest) short-circuit to 0. [scratch]
-    defaults to the process-shared context. *)
+    Physically equal flats short-circuit to 0; separately compiled
+    flats of one tree run the DP (callers that intern trees, like the
+    divergence layer, decide equality by intern id before calling).
+    [scratch] defaults to the process-shared context. *)
 
 val distance_bounded : ?scratch:scratch -> cutoff:int -> t -> t -> int option
 (** [distance_bounded ~cutoff a b] is [Some d] iff [distance a b = d] and
-    [d <= cutoff]. Runs the pruning cascade first, so most far pairs are
-    rejected without touching the DP; pairs that do reach the DP abandon
-    as soon as the cutoff is provably unreachable. *)
+    [d <= cutoff]. Runs the pruning cascade first, so far pairs the
+    size or summary bound separates are rejected without touching the
+    DP; any other pair runs the full DP. *)

@@ -549,14 +549,42 @@ let test_generated_metric_index () =
   let warm = Tbmd.vp_index Tbmd.TSem ixs in
   checki "warm reload runs no build evaluation" 0 (Tbmd.vp_build_evals warm);
   check "warm reload" warm;
-  Tbmd.set_metric_cache None;
-  let held = 3 in
-  let grown =
-    List.fold_left Tbmd.vp_insert
-      (Tbmd.vp_index Tbmd.TSem (List.filteri (fun i _ -> i < n - held) ixs))
-      (List.filteri (fun i _ -> i >= n - held) ixs)
+  (* a schema-1 image (nodes carried a [built] word after their count)
+     holding this very corpus under its current key rebuilds cold *)
+  let vt = Sv_metric.Vptree.build ~dist:raw (Array.init n Fun.id) in
+  let r = Sv_metric.Vptree.to_repr vt in
+  let old = ref [ r.(0) ] and pos = ref 1 in
+  let copy k =
+    for i = 0 to k - 1 do
+      old := r.(!pos + i) :: !old
+    done;
+    pos := !pos + k
   in
-  check "incremental insert" grown;
+  let rec node () =
+    if r.(!pos) = 0 then copy (2 + r.(!pos + 1))
+    else begin
+      let count = r.(!pos + 3) in
+      copy 4;
+      old := count :: !old;
+      node ();
+      node ()
+    end
+  in
+  node ();
+  let payload =
+    Sv_msgpack.Msgpack.(encode (Arr (List.rev_map (fun i -> Int i) !old)))
+  in
+  let v1 = Sv_db.Store.create ~kind:'M' ~schema:1 in
+  ignore (Sv_db.Store.add v1 (Tbmd.vp_key Tbmd.TSem ixs) payload);
+  Sys.remove path;
+  Sv_db.Store.save_file path v1;
+  let stale = Mc.load_file path in
+  Tbmd.set_metric_cache (Some stale);
+  let rebuilt = Tbmd.vp_index Tbmd.TSem ixs in
+  checki "schema-1 image misses" 1 (Mc.misses stale);
+  checkb "schema-1 image rebuilds cold" true (Tbmd.vp_build_evals rebuilt > 0);
+  check "schema-1 image" rebuilt;
+  Tbmd.set_metric_cache None;
   (* a budgeted or approximate answer that claims exactness must be it *)
   Array.iteri
     (fun q c ->

@@ -482,6 +482,71 @@ let commit n =
 
 let st_header () = String.sub (Store.save (st_create ())) 0 10
 
+(* A metric cache from before schema 2, laid out by hand: a header
+   stamped kind 'M', schema 1, and records whose payloads hold the old
+   VP-tree repr, where every node carried a [built] word after its
+   count (a fresh build left built = count). *)
+let schema1_repr t =
+  let r = Vp.to_repr t in
+  let out = ref [ r.(0) ] and pos = ref 1 in
+  let copy n =
+    for i = 0 to n - 1 do
+      out := r.(!pos + i) :: !out
+    done;
+    pos := !pos + n
+  in
+  (* current layout: leaf [0; len; ids…], node [1; v; mu; count; …] *)
+  let rec node () =
+    if r.(!pos) = 0 then copy (2 + r.(!pos + 1))
+    else begin
+      let count = r.(!pos + 3) in
+      copy 4;
+      out := count :: !out;
+      node ();
+      node ()
+    end
+  in
+  node ();
+  Array.of_list (List.rev !out)
+
+let mc_payload repr =
+  Sv_msgpack.Msgpack.(encode (Arr (Array.to_list (Array.map (fun i -> Int i) repr))))
+
+let schema1_image keys payload =
+  let h = Bytes.create 10 in
+  Bytes.blit_string "SVST" 0 h 0 4;
+  Bytes.set h 4 '\001';
+  Bytes.set h 5 'M';
+  Bytes.set_int32_be h 6 1l;
+  Bytes.to_string h
+  ^ String.concat "" (List.map (fun k -> record k (Sv_svz.Svz.compress payload)) keys)
+  ^ commit (List.length keys)
+
+let test_metric_cache_schema1_is_cold () =
+  let _, t = mc_tree 64 in
+  let old = mc_payload (schema1_repr t) in
+  checkb "the old layout is longer" true
+    (Array.length (schema1_repr t) > Array.length (Vp.to_repr t));
+  let old_key = mc_key ~version:1 () and cur_key = mc_key () in
+  let image = schema1_image [ old_key; cur_key ] old in
+  checkb "a well-formed schema-1 store" true
+    (match Store.load ~kind:'M' ~schema:1 image with
+    | Ok s -> Store.size s = 2
+    | Error _ -> false);
+  checkb "strict load refuses schema 1" true (Result.is_error (Mc.load image));
+  with_temp @@ fun path ->
+  write_file path image;
+  let c = Mc.load_file path in
+  checki "schema-1 file loads empty" 0 (Mc.size c);
+  checkb "schema-1 key misses" true (Mc.find c old_key = None);
+  checkb "current key misses" true (Mc.find c cur_key = None);
+  checki "every find a miss" 2 (Mc.misses c);
+  checki "no hit" 0 (Mc.hits c);
+  (* even planted under a current key the old payload does not decode:
+     the [built] word lands where the next node's tag is read *)
+  Mc.merge c [ (cur_key, old) ];
+  checkb "schema-1 payload is a miss" true (Mc.find c cur_key = None)
+
 let test_store_empty_and_missing () =
   checki "missing file is empty" 0 (Store.size (st_load_file "/nonexistent/dir/x.log"));
   with_temp @@ fun path ->
@@ -876,6 +941,8 @@ let () =
             test_metric_cache_corrupt_payload;
           Alcotest.test_case "missing/corrupt file is cold start" `Quick
             test_metric_cache_load_file_missing;
+          Alcotest.test_case "schema-1 image is a cold start" `Quick
+            test_metric_cache_schema1_is_cold;
         ] );
       ( "store",
         [

@@ -1,6 +1,5 @@
-(* Property suite for the metric layer: admissible TED lower bounds
-   (pq-gram and binary-branch profiles included) and VP-tree k-NN / range
-   queries against brute force. Everything is Prng-seeded (SV_PROP_ITERS scales the volume),
+(* Property suite for the metric layer: the admissible TED lower bound
+   and VP-tree k-NN queries against brute force. Everything is Prng-seeded (SV_PROP_ITERS scales the volume),
    so a failure reports a reproducible case. *)
 
 module Tree = Sv_tree.Tree
@@ -39,7 +38,7 @@ let show_tree t = Format.asprintf "%a" (Tree.pp Format.pp_print_int) t
 
 (* Admissibility against the brute-force oracle (small trees, so the
    oracle itself is independent of the DP under test), and dominance of
-   the combined bound over its components. *)
+   the bound over the size delta. *)
 let test_bounds_admissible () =
   let rng = Prng.create 0x6b0d_5eed in
   let iters = max 500 prop_iters in
@@ -55,17 +54,12 @@ let test_bounds_admissible () =
         fmt
     in
     let fa = Flat.of_tree a and fb = Flat.of_tree b in
-    let flb = Flat.lower_bound fa fb and fbb = Flat.branch_bound fa fb in
-    let fpq = Flat.pqgram_bound fa fb in
+    let flb = Flat.lower_bound fa fb in
     if flb > d then ctx "Flat.lower_bound %d > distance %d" flb d;
-    if fbb > d then ctx "Flat.branch_bound %d > distance %d" fbb d;
-    if fpq > d then ctx "Flat.pqgram_bound %d > distance %d" fpq d;
-    if flb < fbb then ctx "Flat.lower_bound %d below branch component %d" flb fbb;
-    if flb < fpq then ctx "Flat.lower_bound %d below pq-gram component %d" flb fpq;
     let sz = abs (Tree.size a - Tree.size b) in
     if flb < sz then ctx "Flat.lower_bound %d below size delta %d" flb sz;
-    (* the bounded kernel (branch-profile stage included) must agree with
-       the unbounded one on both sides of the cutoff *)
+    (* the bounded kernel must agree with the unbounded one on both
+       sides of the cutoff *)
     List.iter
       (fun cutoff ->
         match Flat.distance_bounded ~cutoff fa fb with
@@ -77,15 +71,14 @@ let test_bounds_admissible () =
       [ d - 1; d; d + 2; 0 ]
   done
 
-let test_branch_bound_identical () =
-  (* equal trees: every bound must be 0 *)
+let test_bound_identical () =
+  (* equal trees: the bound must be 0, also between separate compiles *)
   let rng = Prng.create 0xb0 in
   for _ = 1 to 50 do
     let a = gen_tree_sized rng (1 + Prng.int rng 12) in
     let fa = Flat.of_tree a in
-    checki "Flat.branch_bound self" 0 (Flat.branch_bound fa fa);
-    checki "Flat.pqgram_bound self" 0 (Flat.pqgram_bound fa fa);
-    checki "Flat.lower_bound self" 0 (Flat.lower_bound fa fa)
+    checki "Flat.lower_bound self" 0 (Flat.lower_bound fa fa);
+    checki "Flat.lower_bound recompiled" 0 (Flat.lower_bound fa (Flat.of_tree a))
   done
 
 (* --- VP-tree ---------------------------------------------------------- *)
@@ -114,49 +107,7 @@ let test_vptree_vs_brute () =
     let brute_k = List.filteri (fun i _ -> i < k) brute in
     if knn <> brute_k then
       Alcotest.failf "query %d: k-NN differs from brute force" q;
-    checkb "k-NN evals bounded by n" true (knn_evals <= n);
-    let radius = 6 in
-    let within, _ = Vptree.range ~dist_bounded ~radius t in
-    let brute_r = List.filter (fun (d, _) -> d <= radius) brute in
-    if within <> brute_r then
-      Alcotest.failf "query %d: range differs from brute force" q
-  done
-
-(* Phase 2: incremental insert must leave every query exactly equal to a
-   fresh build over the same id set (both are exact, so equal to brute
-   force — the stronger check is that evals stay sane and the structure
-   keeps its invariants through the scapegoat rebuilds). *)
-let test_vptree_insert_equals_fresh () =
-  let rng = Prng.create 0x15e7 in
-  let n = max 300 (prop_iters / 2) in
-  let points = make_points rng n 10 in
-  let flats = Array.map Flat.of_tree points in
-  let dist i j = Flat.distance flats.(i) flats.(j) in
-  (* grow from a small seed one insert at a time *)
-  let seed = 5 in
-  let t = Vptree.build ~dist (Array.init seed (fun i -> i)) in
-  for id = seed to n - 1 do
-    Vptree.insert ~dist t id
-  done;
-  checki "size after inserts" n (Vptree.size t);
-  checkb "inserts triggered rebuilds" true (Vptree.rebuilds t > 0);
-  let fresh = Vptree.build ~dist (Array.init n (fun i -> i)) in
-  for q = 0 to 29 do
-    let query = Flat.of_tree (gen_tree_sized rng (1 + Prng.int rng 10)) in
-    let dist_bounded id ~cutoff =
-      Flat.distance_bounded ~cutoff query flats.(id)
-    in
-    let k = 5 in
-    let grown, grown_evals = Vptree.nearest ~dist_bounded ~k t in
-    let built, _ = Vptree.nearest ~dist_bounded ~k fresh in
-    if grown <> built then
-      Alcotest.failf "query %d: grown index k-NN differs from fresh build" q;
-    checkb "grown k-NN evals bounded by n" true (grown_evals <= n);
-    let radius = 5 in
-    let grown_r, _ = Vptree.range ~dist_bounded ~radius t in
-    let built_r, _ = Vptree.range ~dist_bounded ~radius fresh in
-    if grown_r <> built_r then
-      Alcotest.failf "query %d: grown index range differs from fresh build" q
+    checkb "k-NN evals bounded by n" true (knn_evals <= n)
   done
 
 (* Phase 2: the plain-data representation round-trips to a tree with
@@ -168,11 +119,7 @@ let test_vptree_repr_roundtrip () =
   let points = make_points rng n 10 in
   let flats = Array.map Flat.of_tree points in
   let dist i j = Flat.distance flats.(i) flats.(j) in
-  let t = Vptree.build ~dist (Array.init (n - 20) (fun i -> i)) in
-  (* some inserts so the repr covers count > built nodes too *)
-  for id = n - 20 to n - 1 do
-    Vptree.insert ~dist t id
-  done;
+  let t = Vptree.build ~dist (Array.init n (fun i -> i)) in
   let repr = Vptree.to_repr t in
   (match Vptree.of_repr repr with
   | None -> Alcotest.fail "of_repr rejected its own to_repr"
@@ -205,7 +152,16 @@ let test_vptree_repr_roundtrip () =
   let dup = Vptree.to_repr (Vptree.build ~dist:(fun _ _ -> 1) [| 1; 2; 3 |]) in
   (* leaf of [1;2;3]: words are [n; 0; len; 1; 2; 3] *)
   dup.(4) <- 1;
-  checkb "duplicate ids rejected" true (Vptree.of_repr dup = None)
+  checkb "duplicate ids rejected" true (Vptree.of_repr dup = None);
+  (* a build never puts more than leaf_cap = 4 ids in a leaf, so a
+     fifth id is corruption even with consistent bookkeeping *)
+  let full = Vptree.to_repr (Vptree.build ~dist:(fun _ _ -> 1) [| 1; 2; 3; 4 |]) in
+  checkb "full leaf accepted" true (Vptree.of_repr full <> None);
+  (* words [n; 0; len; ids…]: one more id, with n and len to match *)
+  let over = Array.append full [| 5 |] in
+  over.(0) <- 5;
+  over.(2) <- 5;
+  checkb "leaf over leaf_cap rejected" true (Vptree.of_repr over = None)
 
 (* Phase 2: the budgeted best-first mode. Unconstrained it must equal
    brute force with an exact ledger; any run whose ledger still claims
@@ -289,14 +245,12 @@ let () =
           Alcotest.test_case "admissible vs brute oracle" `Quick
             test_bounds_admissible;
           Alcotest.test_case "zero on identical trees" `Quick
-            test_branch_bound_identical;
+            test_bound_identical;
         ] );
       ( "vptree",
         [
-          Alcotest.test_case "k-NN and range equal brute force" `Quick
+          Alcotest.test_case "k-NN equals brute force" `Quick
             test_vptree_vs_brute;
-          Alcotest.test_case "insert equals fresh build" `Quick
-            test_vptree_insert_equals_fresh;
           Alcotest.test_case "repr round-trip and corruption" `Quick
             test_vptree_repr_roundtrip;
           Alcotest.test_case "budgeted mode honest and bounded" `Quick

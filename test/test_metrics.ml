@@ -91,6 +91,30 @@ let test_tree_distance_labels () =
   checki "same" 0 (D.tree_distance (t "a") (t "a"));
   checki "text differs" 1 (D.tree_distance (t "a") (t "b"))
 
+(* Equality is decided by intern id in the divergence layer, before the
+   flat kernel is called; the kernel itself only short-cuts physically
+   equal flats, so two compiles of one tree go through the DP. *)
+let test_equality_shortcut () =
+  let module T = Sv_perf.Telemetry in
+  let build file =
+    let l kind = Label.v ~loc:(Sv_util.Loc.make ~file ~line:1 ~col:0) kind in
+    Tree.node (l "fn") [ Tree.leaf (l "decl"); Tree.node (l "loop") [ Tree.leaf (l "call") ] ]
+  in
+  let a = build "a.cpp" and b = build "b.cpp" in
+  checkb "separately built" false (a == b);
+  let before = T.ted_snapshot () in
+  checki "equal trees at distance 0" 0 (D.tree_distance a b);
+  let diff = T.ted_diff ~before ~after:(T.ted_snapshot ()) in
+  checki "one equal prune" 1 diff.T.equal_prunes;
+  checki "no DP" 0 diff.T.dp_runs;
+  let int_tree = D.canon a in
+  let fa = Sv_tree.Flat.of_tree int_tree and fb = Sv_tree.Flat.of_tree int_tree in
+  let before = T.ted_snapshot () in
+  checki "two compiles of one tree at distance 0" 0 (Sv_tree.Flat.distance fa fb);
+  let diff = T.ted_diff ~before ~after:(T.ted_snapshot ()) in
+  checki "no equal prune in Flat" 0 diff.T.equal_prunes;
+  checki "one DP" 1 diff.T.dp_runs
+
 let test_mask_tree () =
   let mk line kind =
     Label.v ~loc:(Sv_util.Loc.make ~file:"f" ~line ~col:0) kind
@@ -200,6 +224,7 @@ let () =
           Alcotest.test_case "source distance" `Quick test_source_distance;
           Alcotest.test_case "normalisation" `Quick test_normalised;
           Alcotest.test_case "tree labels" `Quick test_tree_distance_labels;
+          Alcotest.test_case "equality by intern id" `Quick test_equality_shortcut;
           Alcotest.test_case "coverage mask" `Quick test_mask_tree;
           Alcotest.test_case "mask root survives" `Quick test_mask_tree_root_survives;
         ] );

@@ -184,7 +184,7 @@ let test_telemetry_rows_and_string () =
   T.ted.T.size_prunes <- 5;
   T.ted.T.dp_runs <- 7;
   let rows = T.ted_rows (T.ted_snapshot ()) in
-  checki "rows cover every counter" 11 (List.length rows);
+  checki "rows cover every counter" 8 (List.length rows);
   checkb "size prunes row carries its value" true
     (List.exists (fun (k, v) -> v = 5 && contains k "size") rows);
   let s = T.ted_to_string (T.ted_snapshot ()) in

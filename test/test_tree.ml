@@ -394,7 +394,7 @@ let test_hashcons_canon_ted_agrees () =
       Alcotest.failf "pair %d: flat TED through canon %d, direct %d" i
         (Flat.distance fa fb) d;
     if Flat.distance fa (Flat.of_tree ca) <> 0 then
-      Alcotest.failf "pair %d: fast path broke the identity distance" i;
+      Alcotest.failf "pair %d: a recompiled flat is not at distance 0" i;
     List.iter
       (fun cutoff ->
         let want = if d <= cutoff then Some d else None in
