@@ -106,8 +106,8 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "Print TED engine counters after the run: pairs settled \
-           without a DP (equal trees, size bound, label-histogram bound), \
-           DP runs, flat compiles, and left/right strategy picks.")
+           without a DP (equal trees), DP runs, flat compiles, and \
+           left/right strategy picks.")
 
 let fault_arg =
   Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC"
@@ -404,11 +404,11 @@ let nearest_cmd =
   Cmd.v
     (Cmd.info "nearest"
        ~doc:"The k ports nearest a model under a divergence metric, \
-             answered through the VP-tree metric index (Fig. 15 \
-             navigation). Without --budget/--epsilon the results are \
-             exactly the brute-force ranking; with either, a best-first \
-             search under the given evaluation budget and/or relative \
-             slack reports its hits plus an honest exactness ledger.")
+             answered by a best-first search of the VP-tree metric index \
+             (Fig. 15 navigation). Without --budget/--epsilon the results \
+             are exactly the brute-force ranking; with either, the search \
+             under the given evaluation budget and/or relative slack \
+             reports its hits plus an honest exactness ledger.")
     Term.(
       ret
         (const run $ app_arg

@@ -17,28 +17,29 @@ let markers = "OTCHUAKBP"
 
 let points ~app ~serial ~codebases ~platforms =
   let models = Pmodel.all_parallel in
-  List.filteri (fun _ _ -> true) codebases
-  |> List.filter_map (fun (c : Pipeline.indexed) ->
-         match Pmodel.find c.Pipeline.ix_model with
-         | Some m when m.Pmodel.id <> "serial" ->
-             let phi = Phi.phi_of_model ~app ~models ~platforms m in
-             let idx =
-               match
-                 List.find_index (fun (x : Pmodel.t) -> x.Pmodel.id = m.Pmodel.id) models
-               with
-               | Some i -> i
-               | None -> 0
-             in
-             Some
-               {
-                 model_id = m.Pmodel.id;
-                 model_name = m.Pmodel.name;
-                 marker = markers.[idx mod String.length markers];
-                 phi;
-                 div_t_sem = Tbmd.divergence Tbmd.TSem serial c;
-                 div_t_src = Tbmd.divergence Tbmd.TSrc serial c;
-               }
-         | _ -> None)
+  List.filter_map
+    (fun (c : Pipeline.indexed) ->
+      match Pmodel.find c.Pipeline.ix_model with
+      | Some m when m.Pmodel.id <> "serial" ->
+          let phi = Phi.phi_of_model ~app ~models ~platforms m in
+          let idx =
+            match
+              List.find_index (fun (x : Pmodel.t) -> x.Pmodel.id = m.Pmodel.id) models
+            with
+            | Some i -> i
+            | None -> 0
+          in
+          Some
+            {
+              model_id = m.Pmodel.id;
+              model_name = m.Pmodel.name;
+              marker = markers.[idx mod String.length markers];
+              phi;
+              div_t_sem = Tbmd.divergence Tbmd.TSem serial c;
+              div_t_src = Tbmd.divergence Tbmd.TSrc serial c;
+            }
+      | _ -> None)
+    codebases
 
 let render pts =
   let chart_points =
@@ -91,18 +92,8 @@ let hit_of ((c : Pipeline.indexed), d, div) =
   }
 
 let nearest_in idx ~k ?budget ?epsilon query =
-  match (budget, epsilon) with
-  | None, None ->
-      (* The exact recursive traversal: same hits as the budgeted path
-         with no constraints, but also the same evaluation count as it
-         has always reported — approximate mode must not perturb the
-         exact mode's receipts. *)
-      let hits, evals = Tbmd.vp_nearest idx ~k query in
-      ( List.map hit_of hits,
-        { Sv_metric.Vptree.evals; guaranteed_exact = true } )
-  | _ ->
-      let hits, ledger = Tbmd.vp_nearest_budgeted idx ~k ?budget ?epsilon query in
-      (List.map hit_of hits, ledger)
+  let hits, ledger = Tbmd.vp_nearest idx ~k ?budget ?epsilon query in
+  (List.map hit_of hits, ledger)
 
 let nearest_ports ?variant ?metric ?budget ?epsilon ~k ~query codebases =
   match nearest_index ?variant ?metric (nearest_candidates ~query codebases) with

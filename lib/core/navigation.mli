@@ -32,12 +32,12 @@ val render : point list -> string
 (** {2 Nearest existing port}
 
     Fig. 15's navigation question as an interactive query: which of the
-    candidate ports is closest to this codebase? Exact k-NN through
-    {!Tbmd.vp_index} on the unnormalized integer divergence — or, with
-    a budget/ε, the best-first approximate search — plus the per-query
-    {!Sv_metric.Vptree.ledger}: the bounded-evaluation count the index
-    spent (compare against the candidate count for the brute-force
-    baseline) and the honest exactness claim. *)
+    candidate ports is closest to this codebase? One best-first k-NN
+    search through {!Tbmd.vp_index} on the unnormalized integer
+    divergence — exact by default, approximate under a budget/ε — plus
+    the per-query {!Sv_metric.Vptree.ledger}: the evaluation count the
+    index spent (compare against the candidate count for the
+    brute-force baseline) and the honest exactness claim. *)
 
 type nearest_hit = {
   nh_model : string;
@@ -70,11 +70,10 @@ val nearest_in :
   ?epsilon:float ->
   Pipeline.indexed ->
   nearest_hit list * Sv_metric.Vptree.ledger
-(** Query a built index. With neither [budget] nor [epsilon] this is the
-    exact traversal — hits and evaluation count identical to what
-    {!nearest_ports} has always reported, and [guaranteed_exact = true].
-    With either option it is the budgeted best-first search with its
-    honest ledger ({!Tbmd.vp_nearest_budgeted}). *)
+(** Query a built index through {!Tbmd.vp_nearest}. With neither
+    [budget] nor [epsilon] the hits equal brute force and
+    [guaranteed_exact = true]; with either, the ledger says whether the
+    cut search still provably does. *)
 
 val nearest_ports :
   ?variant:Tbmd.variant ->

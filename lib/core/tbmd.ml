@@ -78,12 +78,27 @@ let absolute metric ix =
   | LLOC -> Some (List.fold_left (fun acc u -> acc + count_of LLOC Base u) 0 ix.ix_units)
   | Source | TSrc | TSem | TSemI | TIr -> None
 
+(* dmax depends only on the target codebase (Eq. 7). *)
+let target_size ?(variant = Base) metric c =
+  match metric with
+  | SLOC | LLOC ->
+      max 1 (List.fold_left (fun acc u -> acc + count_of metric variant u) 0 c.ix_units)
+  | Source ->
+      List.fold_left (fun acc u -> acc + Div.dmax_source (lines_of variant u)) 0 c.ix_units
+  | TSrc | TSem | TSemI | TIr ->
+      List.fold_left
+        (fun acc u -> acc + Div.dmax_tree (tree_of metric variant c u))
+        0 c.ix_units
+
 (* The bench harness recomputes many pairs across figures (Fig. 4 and 5
    share every TeaLeaf pair; Figs. 9–10 reuse them again), so raw
    distances are memoised. The key is the two codebases' content keys
    ([ix_key], computed once when each was indexed), so re-indexing the
    same sources hits while any other codebase — a generated variant that
-   reuses an id and a size, say — misses. *)
+   reuses an id and a size, say — misses. The raw distance is symmetric
+   and dmax is the target's size, so a miss whose reversed pair is
+   memoised takes that distance: a query after a matrix over the same
+   corpus runs no DP. *)
 let cache : (string, int * int) Hashtbl.t = Hashtbl.create 512
 let clear_memo () = Hashtbl.reset cache
 
@@ -124,112 +139,52 @@ let ted_distance t1 t2 =
           Db.Ted_cache.add c da db d;
           d)
 
-let ted_distance_bounded ~cutoff t1 t2 =
-  match !engine_cache with
-  | None -> Div.tree_distance_bounded ~cutoff t1 t2
-  | Some c -> (
-      let da = Db.Ted_cache.digest t1 and db = Db.Ted_cache.digest t2 in
-      match Db.Ted_cache.find c da db with
-      | Some d -> if d <= cutoff then Some d else None
-      | None -> (
-          match Div.tree_distance_bounded ~cutoff t1 t2 with
-          | Some d ->
-              Db.Ted_cache.add c da db d;
-              Some d
-          | None -> None))
-
 let rec raw_divergence ?(variant = Base) metric c1 c2 =
   let key = memo_key ~variant metric c1 c2 in
   match Hashtbl.find_opt cache key with
   | Some r -> r
   | None ->
-      let r = raw_divergence_uncached ~variant metric c1 c2 in
+      let r =
+        match Hashtbl.find_opt cache (memo_key ~variant metric c2 c1) with
+        | Some (d, _) -> (d, target_size ~variant metric c2)
+        | None -> raw_divergence_uncached ~variant metric c1 c2
+      in
       Hashtbl.replace cache key r;
       r
 
 and raw_divergence_uncached ?(variant = Base) metric c1 c2 =
   check_lang c1 c2;
-  match metric with
-  | SLOC | LLOC ->
-      let total c = List.fold_left (fun acc u -> acc + count_of metric variant u) 0 c.ix_units in
-      let t1 = total c1 and t2 = total c2 in
-      (abs (t1 - t2), max t2 1)
-  | Source ->
-      List.fold_left
-        (fun (d, dmax) pair ->
-          match pair with
-          | Some u1, Some u2 ->
-              ( d + Div.source_distance (lines_of variant u1) (lines_of variant u2),
-                dmax + Div.dmax_source (lines_of variant u2) )
-          | Some u1, None -> (d + List.length (lines_of variant u1), dmax)
-          | None, Some u2 ->
-              let n = List.length (lines_of variant u2) in
-              (d + n, dmax + n)
-          | None, None -> (d, dmax))
-        (0, 0) (unit_pairs c1 c2)
-  | TSrc | TSem | TSemI | TIr ->
-      List.fold_left
-        (fun (d, dmax) pair ->
-          match pair with
-          | Some u1, Some u2 ->
-              let t1 = tree_of metric variant c1 u1 in
-              let t2 = tree_of metric variant c2 u2 in
-              (d + ted_distance t1 t2, dmax + Div.dmax_tree t2)
-          | Some u1, None -> (d + Tree.size (tree_of metric variant c1 u1), dmax)
-          | None, Some u2 ->
-              let n = Tree.size (tree_of metric variant c2 u2) in
-              (d + n, dmax + n)
-          | None, None -> (d, dmax))
-        (0, 0) (unit_pairs c1 c2)
-
-(* Bounded raw divergence for tree metrics: the per-slot bounded kernel
-   with the remaining budget as its cutoff. [Some d] iff the exact raw
-   divergence is [d ≤ cutoff]; a [None] from any slot proves the running
-   total must exceed the budget, hence the pair distance does too. *)
-let raw_divergence_bounded ?(variant = Base) metric ~cutoff c1 c2 =
-  check_lang c1 c2;
-  (match metric with
-  | TSrc | TSem | TSemI | TIr -> ()
-  | _ -> invalid_arg "raw_divergence_bounded: tree metrics only");
-  if cutoff < 0 then None
-  else begin
-    let rec go acc = function
-      | [] -> Some acc
-      | pair :: rest -> (
-          let budget = cutoff - acc in
-          match pair with
-          | Some u1, Some u2 -> (
-              let t1 = tree_of metric variant c1 u1 in
-              let t2 = tree_of metric variant c2 u2 in
-              match ted_distance_bounded ~cutoff:budget t1 t2 with
-              | None -> None
-              | Some v -> go (acc + v) rest)
-          | Some u1, None ->
-              let s = Tree.size (tree_of metric variant c1 u1) in
-              if s > budget then None else go (acc + s) rest
-          | None, Some u2 ->
-              let s = Tree.size (tree_of metric variant c2 u2) in
-              if s > budget then None else go (acc + s) rest
-          | None, None -> go acc rest)
-    in
-    go 0 (unit_pairs c1 c2)
-  end
+  let d =
+    match metric with
+    | SLOC | LLOC ->
+        let total c = List.fold_left (fun acc u -> acc + count_of metric variant u) 0 c.ix_units in
+        abs (total c1 - total c2)
+    | Source ->
+        List.fold_left
+          (fun d pair ->
+            match pair with
+            | Some u1, Some u2 -> d + Div.source_distance (lines_of variant u1) (lines_of variant u2)
+            | Some u, None | None, Some u -> d + List.length (lines_of variant u)
+            | None, None -> d)
+          0 (unit_pairs c1 c2)
+    | TSrc | TSem | TSemI | TIr ->
+        List.fold_left
+          (fun d pair ->
+            match pair with
+            | Some u1, Some u2 ->
+                let t1 = tree_of metric variant c1 u1 in
+                let t2 = tree_of metric variant c2 u2 in
+                d + ted_distance t1 t2
+            | Some u1, None -> d + Tree.size (tree_of metric variant c1 u1)
+            | None, Some u2 -> d + Tree.size (tree_of metric variant c2 u2)
+            | None, None -> d)
+          0 (unit_pairs c1 c2)
+  in
+  (d, target_size ~variant metric c2)
 
 let divergence ?(variant = Base) metric c1 c2 =
   let d, dmax = raw_divergence ~variant metric c1 c2 in
   Div.normalised ~d ~dmax
-
-(* dmax depends only on the target codebase (Eq. 7). *)
-let target_size ?(variant = Base) metric c =
-  match metric with
-  | SLOC | LLOC ->
-      max 1 (List.fold_left (fun acc u -> acc + count_of metric variant u) 0 c.ix_units)
-  | Source ->
-      List.fold_left (fun acc u -> acc + Div.dmax_source (lines_of variant u)) 0 c.ix_units
-  | TSrc | TSem | TSemI | TIr ->
-      List.fold_left
-        (fun acc u -> acc + Div.dmax_tree (tree_of metric variant c u))
-        0 c.ix_units
 
 (* Pipe codec for one pairwise result: the raw (d, dmax) pair plus the
    TED cache entries the worker had to compute, so warm-cache state built
@@ -345,13 +300,13 @@ type vp = {
   vp_metric : metric;
 }
 
-(* The persisted-tree key commits to the full indexed payload of every
-   candidate, in order — element ids are positions into that order — so
-   any change to any codebase, the candidate set, or its order yields a
+(* The persisted-tree key commits to every candidate's content key, in
+   order — element ids are positions into that order. [ix_key] covers
+   the sources, defines, dialect, run flag and pipeline version, so any
+   change to any codebase, the candidate set, or its order yields a
    fresh key and the stale tree is merely unreachable. *)
 let corpus_digest codebases =
-  Digest.string
-    (M.encode (M.Arr (List.map Index_engine.indexed_to_msgpack codebases)))
+  Digest.string (M.encode (M.Arr (List.map (fun c -> M.Bin c.ix_key) codebases)))
 
 let vp_key ?(variant = Base) metric codebases =
   Sv_db.Metric_cache.key
@@ -384,46 +339,17 @@ let vp_index ?(variant = Base) metric codebases =
 
 let vp_build_evals t = Sv_metric.Vptree.build_evals t.vt
 
-(* Bounded query evaluator: tree metrics go through the real bounded
-   cascade (equal / size / summary-bound prunes fire per unit, then the
-   full DP); the near-free metrics just compute and threshold. *)
-let vp_bounded t query id ~cutoff =
-  match t.vp_metric with
-  | TSrc | TSem | TSemI | TIr ->
-      raw_divergence_bounded ~variant:t.vp_variant t.vp_metric ~cutoff query
-        t.vp_arr.(id)
-  | _ ->
-      let d = fst (raw_divergence ~variant:t.vp_variant t.vp_metric query t.vp_arr.(id)) in
-      if d <= cutoff then Some d else None
-
-let vp_nearest t ~k query =
-  let hits, evals =
-    Sv_metric.Vptree.nearest ~dist_bounded:(vp_bounded t query) ~k t.vt
+(* Every query evaluation is the exact, memoised raw divergence, so a
+   query after a matrix (or an index build) over the same corpus reuses
+   the pairs it settled. *)
+let vp_nearest t ~k ?budget ?epsilon query =
+  let dist id =
+    fst (raw_divergence ~variant:t.vp_variant t.vp_metric query t.vp_arr.(id))
   in
-  ( List.map
-      (fun (dv, id) ->
-        let c = t.vp_arr.(id) in
-        (c, dv, Div.normalised ~d:dv ~dmax:(target_size ~variant:t.vp_variant t.vp_metric c)))
-      hits,
-    evals )
-
-(* Budgeted / ε-approximate variant: same hit shape plus the per-query
-   exactness ledger. With neither budget nor ε the hits equal
-   [vp_nearest] (and brute force) exactly and the ledger says so. *)
-let vp_nearest_budgeted t ~k ?budget ?epsilon query =
-  let hits, ledger =
-    Sv_metric.Vptree.nearest_budgeted
-      ~dist_bounded:(vp_bounded t query)
-      ~k ?budget ?epsilon t.vt
-  in
+  let hits, ledger = Sv_metric.Vptree.nearest ~dist ~k ?budget ?epsilon t.vt in
   ( List.map
       (fun (dv, id) ->
         let c = t.vp_arr.(id) in
         (c, dv, Div.normalised ~d:dv ~dmax:(target_size ~variant:t.vp_variant t.vp_metric c)))
       hits,
     ledger )
-
-let nearest ?(variant = Base) metric ~k ~query codebases =
-  let t = vp_index ~variant metric codebases in
-  let hits, _ = vp_nearest t ~k query in
-  hits

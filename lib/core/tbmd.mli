@@ -72,19 +72,10 @@ val metric_cache : unit -> Sv_db.Metric_cache.cache option
 
 val vp_key : ?variant:variant -> metric -> Pipeline.indexed list -> string
 (** The metric-cache key {!vp_index} would use for this corpus — for
-    callers that memoise decoded indexes keyed the same way. *)
-
-val raw_divergence_bounded :
-  ?variant:variant ->
-  metric ->
-  cutoff:int ->
-  Pipeline.indexed ->
-  Pipeline.indexed ->
-  int option
-(** [raw_divergence_bounded m ~cutoff c1 c2] is [Some d] iff the raw
-    divergence is [d ≤ cutoff], driving each matched unit pair through
-    the bounded TED kernel with the remaining budget as its cutoff.
-    Tree metrics only ([Invalid_argument] otherwise). *)
+    callers that memoise decoded indexes keyed the same way. It digests
+    the candidates' content keys ([ix_key]) in order, so it is equal
+    across two indexings of the same sources and changes with any
+    source byte of any candidate. *)
 
 val absolute : metric -> Pipeline.indexed -> int option
 (** [absolute m ix] is the codebase-level value for absolute metrics
@@ -123,10 +114,11 @@ val dendrogram :
     "Find the nearest existing port": a VP-tree over the candidate
     codebases under the {e unnormalized} integer divergence (the true
     metric), built once (or reloaded from the metric cache) and queried
-    with the bounded kernel so far candidates are rejected by the
-    cheap-bound cascade instead of full DPs. Exact queries equal a
-    brute-force scan, ties broken by index; the budgeted variant says
-    in its ledger whether it still does. *)
+    by one best-first search whose every evaluation is the exact,
+    memoised {!raw_divergence} — so a query after a {!matrix} over the
+    same corpus reuses the pairs it settled. Exact queries equal a
+    brute-force scan, ties broken by index; a budgeted or ε-approximate
+    query says in its ledger whether it still does. *)
 
 type vp
 (** A built index over a fixed candidate list. *)
@@ -146,33 +138,15 @@ val vp_build_evals : vp -> int
 val vp_nearest :
   vp ->
   k:int ->
-  Pipeline.indexed ->
-  (Pipeline.indexed * int * float) list * int
-(** [vp_nearest t ~k q] is the k candidates nearest to [q] in ascending
-    order as [(codebase, raw d, normalised)] — normalisation against
-    each hit's own dmax, at the edge only — plus the bounded-evaluator
-    call count (the work actually spent; compare against a brute-force
-    n). *)
-
-val vp_nearest_budgeted :
-  vp ->
-  k:int ->
   ?budget:int ->
   ?epsilon:float ->
   Pipeline.indexed ->
   (Pipeline.indexed * int * float) list * Sv_metric.Vptree.ledger
-(** Best-first k-NN with an optional evaluator budget and/or
-    multiplicative ε, plus the honest per-query exactness ledger
-    ({!Sv_metric.Vptree.nearest_budgeted}): [guaranteed_exact] is false
-    only when the budget or ε actually cut the search, and whenever it
-    is true the hits equal brute force. With neither option the hits
-    equal {!vp_nearest}. *)
-
-val nearest :
-  ?variant:variant ->
-  metric ->
-  k:int ->
-  query:Pipeline.indexed ->
-  Pipeline.indexed list ->
-  (Pipeline.indexed * int * float) list
-(** One-shot convenience: build and query. *)
+(** [vp_nearest t ~k q] is the k candidates nearest to [q] in ascending
+    order as [(codebase, raw d, normalised)] — normalisation against
+    each hit's own dmax, at the edge only — plus the per-query ledger
+    ({!Sv_metric.Vptree.nearest}): the evaluations actually spent
+    (compare against a brute-force n) and the honest exactness claim.
+    [budget] caps evaluations and [epsilon] relaxes pruning
+    multiplicatively; with neither, the hits equal brute force and
+    [guaranteed_exact] is true. *)

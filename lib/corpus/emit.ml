@@ -534,8 +534,6 @@ let extended_ids = List.map (fun g -> g.g_id) all
 let gen_for id = List.find_opt (fun g -> g.g_id = id) all
 let model_name g = g.g_name
 let includes g = g.g_includes
-let prologue g = g.g_prologue
-let epilogue g = g.g_epilogue
 let alloc g = g.g_alloc
 let dealloc g = g.g_dealloc
 let arr g = g.g_arr

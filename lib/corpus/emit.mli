@@ -50,8 +50,6 @@ val model_name : gen -> string
     definitions to splice before [main]. *)
 
 val includes : gen -> string list
-val prologue : gen -> string list
-val epilogue : gen -> string list
 
 val alloc : gen -> name:string -> n:string -> string list
 (** Declare-and-allocate a [double] array of extent [n]. *)

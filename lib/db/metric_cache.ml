@@ -2,9 +2,10 @@ module M = Sv_msgpack.Msgpack
 module Vptree = Sv_metric.Vptree
 
 (* Bump when the VP-tree representation, the distance semantics feeding
-   it, or the payload layout changes meaning: stale indexes must never
-   decode as current ones. *)
-let metric_schema = 2
+   it, the payload layout or the key derivation changes meaning: stale
+   indexes must never decode as current ones, and a file full of
+   unreachable keys should load as a cold start and be rewritten. *)
+let metric_schema = 3
 
 type cache = {
   store : Store.t;  (* 16-byte key -> encoded repr *)
@@ -17,7 +18,7 @@ let of_store store = { store; hits = 0; misses = 0 }
 let create () = of_store (Store.create ~kind ~schema:metric_schema)
 
 (* The key commits to everything that can change the persisted tree: the
-   corpus digest (which itself spans every codebase's indexed payload, in
+   corpus digest (which itself spans every codebase's content key, in
    candidate order — ids are positional), the metric and variant names,
    and the schema version. Any of them changing yields a fresh key, so
    invalidation is automatic and stale entries are merely unreachable. *)

@@ -28,7 +28,7 @@ val create : unit -> cache
 val key :
   ?version:int -> corpus_digest:string -> metric:string -> variant:string ->
   unit -> string
-(** 16-byte digest committing to the corpus (candidate payloads in
+(** 16-byte digest committing to the corpus (candidate content keys in
     order — ids are positional), the metric and variant names, and the
     schema version, so any change makes stale entries unreachable. *)
 

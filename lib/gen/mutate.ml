@@ -41,8 +41,6 @@ let op_name = function
   | Extract -> "extract"
   | Inline -> "inline"
 
-let op_of_name s = List.find_opt (fun o -> op_name o = s) all_ops
-
 type applied = { ap_op : op; ap_site : int; ap_sites : int; ap_detail : string }
 
 let mk_e node = { e = node; eloc = Loc.none }

@@ -24,7 +24,6 @@ type op =
 
 val all_ops : op list
 val op_name : op -> string
-val op_of_name : string -> op option
 
 type applied = {
   ap_op : op;

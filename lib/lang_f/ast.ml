@@ -59,8 +59,4 @@ type prog_unit = {
 
 type file = { f_file : string; f_units : prog_unit list }
 
-let find_unit f name =
-  let name = String.lowercase_ascii name in
-  List.find_opt (fun u -> String.lowercase_ascii u.u_name = name) f.f_units
-
 let main_program f = List.find_opt (fun u -> u.u_kind = Program) f.f_units

@@ -91,8 +91,5 @@ type prog_unit = {
 
 type file = { f_file : string; f_units : prog_unit list }
 
-val find_unit : file -> string -> prog_unit option
-(** [find_unit f name] looks a program unit up by (lowercased) name. *)
-
 val main_program : file -> prog_unit option
 (** The unique [program] unit, if any. *)

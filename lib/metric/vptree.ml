@@ -170,9 +170,6 @@ let of_repr a =
 
 (* --- queries ----------------------------------------------------------- *)
 
-(* Saturating add: cutoffs near max_int must not wrap. *)
-let sat_add a b = if a >= max_int - b then max_int else a + b
-
 (* best: ascending (d, id) list, ≤ k long. τ = the kth key; a candidate
    or subtree survives only if it can beat τ under the lexicographic
    (d, id) order, which makes the result the exact k smallest keys
@@ -201,46 +198,6 @@ module Best = struct
         b.xs <- List.filteri (fun i _ -> i < b.k) merged
     end
 end
-
-let nearest ~dist_bounded ~k t =
-  if k <= 0 then ([], 0)
-  else begin
-    let evals = ref 0 in
-    let dq id ~cutoff =
-      incr evals;
-      dist_bounded id ~cutoff
-    in
-    let best = Best.create k in
-    let try_candidate id =
-      match dq id ~cutoff:(Best.tau_d best) with
-      | Some dv -> Best.consider best id dv
-      | None -> ()
-    in
-    let rec visit = function
-      | Leaf ids -> Array.iter try_candidate ids
-      | Node { v; mu; inside; outside; _ } -> (
-          (* One bounded eval serves both the candidate check and the
-             routing: cutoff τ+μ. [None] proves d(q,v) > τ+μ, hence
-             d(q,v) − μ > τ and the inside ball cannot beat τ; the
-             outside shell still can (μ − d(q,v) < 0 ≤ τ). *)
-          match dq v ~cutoff:(sat_add (Best.tau_d best) mu) with
-          | None -> visit outside
-          | Some dv ->
-              if dv <= Best.tau_d best then Best.consider best v dv;
-              if dv <= mu then begin
-                visit inside;
-                if mu - dv <= Best.tau_d best then visit outside
-              end
-              else begin
-                visit outside;
-                if dv - mu <= Best.tau_d best then visit inside
-              end)
-    in
-    visit t.root;
-    (best.Best.xs, !evals)
-  end
-
-(* --- budgeted / ε-approximate k-NN ------------------------------------- *)
 
 type ledger = { evals : int; guaranteed_exact : bool }
 
@@ -308,17 +265,17 @@ end
    [guaranteed_exact] is false only when the search actually stopped —
    by budget or by an ε-cut — while the frontier still held a subtree
    the exact rule would have visited. With no budget and ε = 0 the
-   result equals [nearest] equals brute force, and the ledger says so. *)
-let nearest_budgeted ~dist_bounded ~k ?budget ?(epsilon = 0.) t =
+   result equals brute force, and the ledger says so. *)
+let nearest ~dist ~k ?budget ?(epsilon = 0.) t =
   if k <= 0 then ([], { evals = 0; guaranteed_exact = true })
   else begin
     let limit =
       match budget with Some b when b >= 0 -> b | Some _ -> 0 | None -> max_int
     in
     let evals = ref 0 in
-    let dq id ~cutoff =
+    let dq id =
       incr evals;
-      dist_bounded id ~cutoff
+      dist id
     in
     let best = Best.create k in
     let budget_cut = ref false and eps_cut = ref false in
@@ -358,9 +315,7 @@ let nearest_budgeted ~dist_bounded ~k ?budget ?(epsilon = 0.) t =
                    raise Stop
                  end;
                  let id = ids.(!i) in
-                 (match dq id ~cutoff:(Best.tau_d best) with
-                 | Some dv -> Best.consider best id dv
-                 | None -> ());
+                 Best.consider best id (dq id);
                  incr i
                done
            | Node { v; mu; inside; outside; _ } ->
@@ -368,17 +323,12 @@ let nearest_budgeted ~dist_bounded ~k ?budget ?(epsilon = 0.) t =
                  budget_cut := true;
                  raise Stop
                end;
-               (match dq v ~cutoff:(sat_add (Best.tau_d best) mu) with
-               | None ->
-                   (* d(q,v) > τ+μ: the inside ball cannot beat τ; the
-                      outside shell keeps the parent's bound. *)
-                   push lb outside
-               | Some dv ->
-                   if dv <= Best.tau_d best then Best.consider best v dv;
-                   (* inside points have d(v,·) ≤ μ, outside d(v,·) ≥ μ+1
-                      (integer metric), so by the triangle inequality: *)
-                   push (max lb (dv - mu)) inside;
-                   push (max lb (mu + 1 - dv)) outside)
+               let dv = dq v in
+               Best.consider best v dv;
+               (* inside points have d(v,·) ≤ μ, outside d(v,·) ≥ μ+1
+                  (integer metric), so by the triangle inequality: *)
+               push (max lb (dv - mu)) inside;
+               push (max lb (mu + 1 - dv)) outside
          end
        done
      with Stop -> ());

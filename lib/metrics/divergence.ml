@@ -48,20 +48,6 @@ let tree_distance t1 t2 =
   end
   else Sv_tree.Flat.distance (flat_of_id id1 v1) (flat_of_id id2 v2)
 
-let tree_distance_bounded ~cutoff t1 t2 =
-  if cutoff < 0 then None
-  else
-    let id1, v1 = Sv_tree.Hashcons.canon_id canonizer t1 in
-    let id2, v2 = Sv_tree.Hashcons.canon_id canonizer t2 in
-    if id1 = id2 then begin
-      let open Sv_perf.Telemetry in
-      ted.equal_prunes <- ted.equal_prunes + 1;
-      Some 0
-    end
-    else
-      Sv_tree.Flat.distance_bounded ~cutoff (flat_of_id id1 v1)
-        (flat_of_id id2 v2)
-
 let tree_distance_matched t1 t2 =
   let root_cost = if Label.equal (Tree.label t1) (Tree.label t2) then 0 else 1 in
   (* Align the children sequences by an LCS over coarse fingerprints

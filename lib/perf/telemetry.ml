@@ -1,7 +1,5 @@
 type ted = {
   mutable equal_prunes : int;
-  mutable size_prunes : int;
-  mutable hist_prunes : int;
   mutable dp_runs : int;
   mutable flat_compiles : int;
   mutable scratch_grows : int;
@@ -12,8 +10,6 @@ type ted = {
 let zero () =
   {
     equal_prunes = 0;
-    size_prunes = 0;
-    hist_prunes = 0;
     dp_runs = 0;
     flat_compiles = 0;
     scratch_grows = 0;
@@ -25,8 +21,6 @@ let ted = zero ()
 
 let reset_ted () =
   ted.equal_prunes <- 0;
-  ted.size_prunes <- 0;
-  ted.hist_prunes <- 0;
   ted.dp_runs <- 0;
   ted.flat_compiles <- 0;
   ted.scratch_grows <- 0;
@@ -38,8 +32,6 @@ let ted_snapshot () = { ted with equal_prunes = ted.equal_prunes }
 let ted_diff ~before ~after =
   {
     equal_prunes = after.equal_prunes - before.equal_prunes;
-    size_prunes = after.size_prunes - before.size_prunes;
-    hist_prunes = after.hist_prunes - before.hist_prunes;
     dp_runs = after.dp_runs - before.dp_runs;
     flat_compiles = after.flat_compiles - before.flat_compiles;
     scratch_grows = after.scratch_grows - before.scratch_grows;
@@ -47,13 +39,11 @@ let ted_diff ~before ~after =
     strategy_right = after.strategy_right - before.strategy_right;
   }
 
-let ted_pruned t = t.equal_prunes + t.size_prunes + t.hist_prunes
+let ted_pruned t = t.equal_prunes
 
 let ted_rows t =
   [
     ("pruned: equal", t.equal_prunes);
-    ("pruned: size bound", t.size_prunes);
-    ("pruned: label histogram", t.hist_prunes);
     ("DP runs", t.dp_runs);
     ("flat compiles", t.flat_compiles);
     ("scratch growths", t.scratch_grows);
@@ -64,9 +54,9 @@ let ted_rows t =
 let ted_to_string t =
   let pairs = ted_pruned t + t.dp_runs in
   Printf.sprintf
-    "ted: %d of %d pairs settled without a DP (equal %d, size %d, hist %d), \
-     %d DP runs, %d flats, strategy L/R %d/%d"
-    (ted_pruned t) pairs t.equal_prunes t.size_prunes t.hist_prunes t.dp_runs
+    "ted: %d of %d pairs settled without a DP (equal %d), %d DP runs, %d \
+     flats, strategy L/R %d/%d"
+    (ted_pruned t) pairs t.equal_prunes t.dp_runs
     t.flat_compiles t.strategy_left t.strategy_right
 
 (* --- service counters --- *)
@@ -113,8 +103,6 @@ let reset_serve () =
   serve.cold_misses <- 0;
   serve.usec_total <- 0
 
-let serve_snapshot () = { serve with connections = serve.connections }
-
 let note_queue_depth d = if d > serve.queue_peak then serve.queue_peak <- d
 
 let serve_rows s =
@@ -131,10 +119,3 @@ let serve_rows s =
     ("cold_misses", s.cold_misses);
     ("usec_total", s.usec_total);
   ]
-
-let serve_to_string s =
-  Printf.sprintf
-    "serve: %d conns, %d reqs (%d ok, %d err, %d shed), queue peak %d, %d/%d \
-     B in/out, warm %d / cold %d, %d us total"
-    s.connections s.requests s.served s.errors s.overloaded s.queue_peak
-    s.bytes_in s.bytes_out s.warm_hits s.cold_misses s.usec_total

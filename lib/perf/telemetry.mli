@@ -1,9 +1,10 @@
 (** Process-wide performance counters for the hot engines.
 
-    The TED pruning cascade (equality, size bound, label-histogram
-    lower bound) decides per pair whether the DP runs at all; these
-    counters record those decisions so `sv compare --stats` and perfbench
-    can report prune rates next to wall-clock numbers. Counters
+    Per TED pair the divergence layer either settles equal trees by
+    intern id or runs the full DP; these counters record which, with the
+    flat compiles and decomposition strategies behind the DPs, so
+    `sv compare --stats` and perfbench can report that work next to
+    wall-clock numbers. Counters
     are plain mutable ints — monotone within a process, reset explicitly,
     and private to each forked worker (children inherit a copy; their
     increments do not flow back, so parent-side reports describe
@@ -11,13 +12,7 @@
 
 type ted = {
   mutable equal_prunes : int;
-      (** pairs answered 0 by equality (intern id or pointer), no DP;
-          bounded queries and unbounded matrix cells alike *)
-  mutable size_prunes : int;
-      (** bounded queries rejected by the size-difference bound alone *)
-  mutable hist_prunes : int;
-      (** bounded queries rejected by the summary lower bound (label
-          histogram, leaf count, height) after the size bound passed *)
+      (** pairs answered 0 by equality (intern id or pointer), no DP *)
   mutable dp_runs : int;  (** full flat-kernel runs *)
   mutable flat_compiles : int;  (** trees compiled to flat form *)
   mutable scratch_grows : int;  (** geometric growths of the DP scratch *)
@@ -39,10 +34,10 @@ val ted_diff : before:ted -> after:ted -> ted
 (** Field-wise [after - before]. *)
 
 val ted_pruned : ted -> int
-(** Total pairs settled without running the DP. *)
+(** Total pairs settled without running the DP (today: by equality). *)
 
 val ted_rows : ted -> (string * int) list
-(** Label/value rows for tabular reports, cascade order first. *)
+(** Label/value rows for tabular reports, one per counter. *)
 
 val ted_to_string : ted -> string
 (** One-line summary for CLI [--stats] output. *)
@@ -74,12 +69,9 @@ val serve : serve
 (** The process-global service counter block. *)
 
 val reset_serve : unit -> unit
-val serve_snapshot : unit -> serve
 
 val note_queue_depth : int -> unit
 (** Raise [queue_peak] to the given depth if deeper than seen before. *)
 
 val serve_rows : serve -> (string * int) list
 (** Label/value rows in a fixed order (the [status] verb's payload). *)
-
-val serve_to_string : serve -> string

@@ -43,13 +43,19 @@ let default_config () =
 
 (* A resident codebase keeps its cache payload next to the decoded form:
    the payload is the byte size the LRU budgets, and the bytes the
-   eviction callback spills into the persistent index cache. *)
-type resident = { ix : Pipeline.indexed; payload : string }
+   eviction callback spills into the persistent index cache. The [index]
+   verb's text rebuilds and compresses the whole Codebase DB, so it is
+   rendered at most once per residency and dropped with the entry. *)
+type resident = {
+  ix : Pipeline.indexed;
+  payload : string;
+  index_text : string Lazy.t;
+}
 
 (* A resident VP-tree metric index: built (or reloaded) once per
    (filtered candidate corpus, metric, variant) and reused across
    nearest requests instead of being rebuilt per call. Keyed by
-   {!Tbmd.vp_key}, which commits to the candidate payload digests in
+   {!Tbmd.vp_key}, which commits to the candidates' content keys in
    order — any corpus change is a structural miss. Eviction is safe:
    the persistent metric cache already holds the encoded tree, so a
    re-probe decodes instead of re-measuring. *)
@@ -141,6 +147,16 @@ let with_installed t f =
 
 (* --- residency --- *)
 
+let render_index ix =
+  let db = Pipeline.to_db ix in
+  Sv_db.Codebase_db.stats db ^ "\n"
+  ^
+  match ix.Pipeline.ix_verification with
+  | Some v ->
+      Printf.sprintf "built-in verification: %s\n"
+        (if v.Pipeline.v_ok then "PASSED" else "FAILED")
+  | None -> ""
+
 let encode_payload ix = M.encode (Index_engine.indexed_to_msgpack ix)
 
 (* Resolve a list of codebases against the LRU; misses go through the
@@ -166,20 +182,26 @@ let obtain t cbs =
         in
         List.map2
           (fun (key, _) ix ->
-            let r = { ix; payload = encode_payload ix } in
+            let r =
+              { ix; payload = encode_payload ix; index_text = lazy (render_index ix) }
+            in
             Lru.add t.lru key r;
-            (key, ix))
+            (key, r))
           missing ixs
   in
-  let ixs =
+  let rs =
     List.map
       (fun (key, _, hit) ->
         match hit with
-        | Some r -> r.ix
+        | Some r -> r
         | None -> List.assoc key fresh)
       probed
   in
-  (ixs, missing = [])
+  (rs, missing = [])
+
+let obtain_ix t cbs =
+  let rs, warm = obtain t cbs in
+  (List.map (fun r -> r.ix) rs, warm)
 
 (* --- renderers (the CLI's exact output) --- *)
 
@@ -246,16 +268,6 @@ let render_nearest ~app ~model ~k ?budget ?epsilon ?index m qix ixs =
   ^ Printf.sprintf "index evaluations: %d of %d candidates\n"
       ledger.Sv_metric.Vptree.evals cands
   ^ approx
-
-let render_index ix =
-  let db = Pipeline.to_db ix in
-  Sv_db.Codebase_db.stats db ^ "\n"
-  ^
-  match ix.Pipeline.ix_verification with
-  | Some v ->
-      Printf.sprintf "built-in verification: %s\n"
-        (if v.Pipeline.v_ok then "PASSED" else "FAILED")
-  | None -> ""
 
 (* --- status --- *)
 
@@ -400,8 +412,8 @@ let evaluate t req =
           | None -> unknown_model app model
           | Some cb ->
               with_installed t (fun () ->
-                  let ixs, warm = obtain t [ cb ] in
-                  output "index" warm (render_index (List.hd ixs))))
+                  let rs, warm = obtain t [ cb ] in
+                  output "index" warm (Lazy.force (List.hd rs).index_text)))
   | Protocol.Compare { app; base; target } ->
       with_app app (fun cbs ->
           match
@@ -409,7 +421,7 @@ let evaluate t req =
           with
           | Some b, Some tg ->
               with_installed t (fun () ->
-                  let ixs, warm = obtain t [ b; tg ] in
+                  let ixs, warm = obtain_ix t [ b; tg ] in
                   match ixs with
                   | [ bix; tix ] ->
                       output "compare" warm
@@ -421,13 +433,13 @@ let evaluate t req =
       with_metric metric (fun m ->
           with_app app (fun cbs ->
               with_installed t (fun () ->
-                  let ixs, warm = obtain t cbs in
+                  let ixs, warm = obtain_ix t cbs in
                   output "matrix" warm (render_matrix m ixs))))
   | Protocol.Cluster { app; metric } ->
       with_metric metric (fun m ->
           with_app app (fun cbs ->
               with_installed t (fun () ->
-                  let ixs, warm = obtain t cbs in
+                  let ixs, warm = obtain_ix t cbs in
                   output "cluster" warm (render_cluster m ixs))))
   | Protocol.Nearest { app; model; metric; k; budget; epsilon } -> (
       match check_nearest ~k ~budget ~epsilon with
@@ -439,7 +451,7 @@ let evaluate t req =
                   | None -> unknown_model app model
                   | Some cb ->
                       with_installed t (fun () ->
-                          let ixs, warm = obtain t cbs in
+                          let ixs, warm = obtain_ix t cbs in
                           let qix = List.assq cb (List.combine cbs ixs) in
                           let cands = Navigation.nearest_candidates ~query:qix ixs in
                           let index =

@@ -6,7 +6,9 @@
     - a size-bounded {!Sv_db.Lru} of decoded {!Sv_core.Pipeline.indexed}
       codebases, keyed by {!Sv_core.Pipeline.codebase_key} (so a
       corpus edit is a structural miss, never a stale hit), spilling
-      evicted entries into the index cache;
+      evicted entries into the index cache; each entry renders its
+      [index] reply ({!render_index}) at most once, on first request,
+      and drops it on eviction;
     - a resident {!Sv_db.Index_cache}, {!Sv_db.Codebase_db.Ted_cache}
       and {!Sv_db.Metric_cache}, loaded from disk at creation and
       persisted back periodically and at shutdown;
@@ -117,10 +119,10 @@ val render_nearest :
   string
 (** `sv nearest`'s output: the query's k nearest ports (other models
     only) by raw and normalised divergence, through the VP-tree index
-    ({!Sv_core.Navigation.nearest_ports}), plus the bounded-evaluation
-    count the index spent against the candidate total. [index] is an
+    ({!Sv_core.Navigation.nearest_ports}), plus the evaluation count
+    the index spent against the candidate total. [index] is an
     already-built tree over {e exactly} the filtered candidate list
     (the daemon's resident memo); construction is deterministic, so
     passing it cannot change a byte of the output. With [budget] or
-    [epsilon] the search is the budgeted best-first mode and a final
-    line reports the knobs plus the honest [guaranteed_exact] claim. *)
+    [epsilon] the search may stop early, and a final line reports the
+    knobs plus the honest [guaranteed_exact] claim. *)

@@ -13,15 +13,7 @@ let buf n : buf = A.create Bigarray.int Bigarray.c_layout n
    occupies the postorder slice [lml(i), i], hence |i| = i − lml(i) + 1. *)
 type dir = { labels : buf; lml : buf; keyroots : buf; kcost : int }
 
-type t = {
-  size : int;
-  nleaves : int;
-  height : int;
-  left : dir;
-  right : dir;
-  hist_labels : int array;
-  hist_counts : int array;
-}
+type t = { size : int; left : dir; right : dir }
 
 let compile_dir ~mirror t n =
   let labels = buf (n + 1) and lml = buf (n + 1) in
@@ -65,72 +57,14 @@ let compile_dir ~mirror t n =
     !krs;
   { labels; lml; keyroots; kcost = !kcost }
 
-(* Sorted run-length encoding of a label multiset: (distinct labels
-   ascending, matching counts). Sorts [keys] in place. *)
-let rle_sorted keys =
-  Array.sort compare keys;
-  let runs = ref 0 in
-  Array.iteri (fun i x -> if i = 0 || keys.(i - 1) <> x then incr runs) keys;
-  let out_keys = Array.make !runs 0 and out_counts = Array.make !runs 0 in
-  let r = ref (-1) in
-  Array.iteri
-    (fun i x ->
-      if i = 0 || keys.(i - 1) <> x then begin
-        incr r;
-        out_keys.(!r) <- x
-      end;
-      out_counts.(!r) <- out_counts.(!r) + 1)
-    keys;
-  (out_keys, out_counts)
-
 let of_tree t =
   T.ted.T.flat_compiles <- T.ted.T.flat_compiles + 1;
   let n = Tree.size t in
   let left = compile_dir ~mirror:false t n in
   let right = compile_dir ~mirror:true t n in
-  let nleaves = ref 0 in
-  let rec stats depth (Tree.Node (_, cs)) =
-    match cs with
-    | [] ->
-        incr nleaves;
-        depth
-    | _ -> List.fold_left (fun acc c -> max acc (stats (depth + 1) c)) depth cs
-  in
-  let height = stats 1 t in
-  (* label histogram straight off the postorder array, sorted and
-     run-length encoded so the lower bound intersects in O(k₁+k₂) *)
-  let hist_labels, hist_counts =
-    rle_sorted (Array.init n (fun i -> A.unsafe_get left.labels (i + 1)))
-  in
-  { size = n; nleaves = !nleaves; height; left; right; hist_labels; hist_counts }
+  { size = n; left; right }
 
 let size f = f.size
-
-(* Admissible lower bound on the unit-cost TED, from compile-time
-   summaries only. Each component counts edits a single operation can
-   reduce by at most one: size delta (insert/delete change |T| by 1),
-   unmatched label mass (max n − Σ_l min(count₁ l, count₂ l): at most
-   min(n₁,n₂) nodes map, and only label-equal mapped pairs are free),
-   leaf-count delta and height delta (no operation moves either by more
-   than one). *)
-let lower_bound a b =
-  let common = ref 0 in
-  let i = ref 0 and j = ref 0 in
-  let ka = Array.length a.hist_labels and kb = Array.length b.hist_labels in
-  while !i < ka && !j < kb do
-    let la = a.hist_labels.(!i) and lb = b.hist_labels.(!j) in
-    if la < lb then incr i
-    else if lb < la then incr j
-    else begin
-      common := !common + min a.hist_counts.(!i) b.hist_counts.(!j);
-      incr i;
-      incr j
-    end
-  done;
-  let m = abs (a.size - b.size) in
-  let m = max m (max a.size b.size - !common) in
-  let m = max m (abs (a.nleaves - b.nleaves)) in
-  max m (abs (a.height - b.height))
 
 (* --- scratch buffers -------------------------------------------------- *)
 
@@ -272,25 +206,3 @@ let distance ?(scratch = shared) a b =
     0
   end
   else run_dp ~scratch a b
-
-(* The pruning cascade, cheapest test first: pointer equality, the
-   size-difference bound, the histogram/leaves/height lower bound, then
-   — only for pairs no bound settles — the full DP, whose result is
-   compared with the cutoff. *)
-let distance_bounded ?(scratch = shared) ~cutoff a b =
-  if cutoff < 0 then None
-  else if a == b then begin
-    T.ted.T.equal_prunes <- T.ted.T.equal_prunes + 1;
-    Some 0
-  end
-  else if abs (a.size - b.size) > cutoff then begin
-    T.ted.T.size_prunes <- T.ted.T.size_prunes + 1;
-    None
-  end
-  else if lower_bound a b > cutoff then begin
-    T.ted.T.hist_prunes <- T.ted.T.hist_prunes + 1;
-    None
-  end
-  else
-    let d = run_dp ~scratch a b in
-    if d <= cutoff then Some d else None

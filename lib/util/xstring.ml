@@ -13,8 +13,6 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
-let split_on c s = String.split_on_char c s
-
 let collapse_spaces s =
   let b = Buffer.create (String.length s) in
   let in_run = ref false in

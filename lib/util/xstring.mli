@@ -16,9 +16,6 @@ val strip : string -> string
 val starts_with : prefix:string -> string -> bool
 (** [starts_with ~prefix s] tests for a literal prefix. *)
 
-val split_on : char -> string -> string list
-(** [split_on c s] splits on [c], keeping empty fields. *)
-
 val collapse_spaces : string -> string
 (** [collapse_spaces s] replaces every maximal run of spaces/tabs with a
     single space, implementing the whitespace-normalisation step of the

@@ -105,14 +105,32 @@ let test_divergence_in_unit_interval () =
         all_metric_variants)
     (Lazy.force stream)
 
+(* The memo serves a pair from its reversed entry, which is only sound if
+   the raw distance is symmetric; so each direction here is computed from
+   scratch, and the memo-served answer must equal the fresh one. *)
 let test_raw_distance_symmetric () =
   let a = find stream "omp" and b = find stream "kokkos" in
+  let longer =
+    { b with Pipeline.ix_units = b.Pipeline.ix_units @ a.Pipeline.ix_units;
+             ix_key = b.Pipeline.ix_key ^ "+tail" }
+  in
   List.iter
-    (fun m ->
-      let d1, _ = Tbmd.raw_divergence m a b in
-      let d2, _ = Tbmd.raw_divergence m b a in
-      checki (Tbmd.metric_label m ^ " symmetric raw") d1 d2)
-    [ Tbmd.SLOC; Tbmd.Source; Tbmd.TSem ]
+    (fun (x, y, pair) ->
+      List.iter
+        (fun m ->
+          let what = Tbmd.metric_label m ^ " " ^ pair in
+          Tbmd.clear_memo ();
+          let d1, _ = Tbmd.raw_divergence m x y in
+          Tbmd.clear_memo ();
+          let fresh = Tbmd.raw_divergence m y x in
+          checki (what ^ " symmetric raw") d1 (fst fresh);
+          Tbmd.clear_memo ();
+          ignore (Tbmd.raw_divergence m x y);
+          let memo = Tbmd.raw_divergence m y x in
+          checki (what ^ " reversed memo d") (fst fresh) (fst memo);
+          checki (what ^ " reversed memo dmax") (snd fresh) (snd memo))
+        Tbmd.all_metrics)
+    [ (a, b, "omp/kokkos"); (a, longer, "unequal unit counts") ]
 
 let test_cross_language_rejected () =
   let c = find stream "serial" and f = find stream_f "sequential" in
@@ -455,8 +473,8 @@ let test_memo_keys_on_content () =
    from it, are all byte-identical. The raw integer divergence the
    VP-tree relies on obeys the triangle inequality on every triple, and
    the VP-tree answers every member's k-NN exactly as a brute-force sort
-   whether built cold, reloaded from a persisted metric cache (with zero
-   build evaluations) or grown by incremental inserts. *)
+   whether built cold or reloaded from a persisted metric cache (with
+   zero build evaluations). *)
 let gen_cbs =
   lazy (Option.get (Sv_core.Apps.corpus_of_app "gen:mixed:babelstream:8:8"))
 let gen_ixs = lazy (Sv_core.Index_engine.index_many ~jobs:1 (Lazy.force gen_cbs))
@@ -494,11 +512,10 @@ let test_generated_matrix_identical () =
     (matrix ~jobs:1 ~cache:(Some cache) = serial)
 
 (* grown kernel chains: small trees, so many exact queries stay cheap *)
-let grown_ixs =
-  lazy
-    (Sv_core.Index_engine.index_many ~jobs:1
-       (Option.get
-          (Sv_core.Apps.corpus_of_app "gen:grow:serial,omp,stdpar,tbb,kokkos:8:8")))
+let grown_cbs () =
+  Option.get (Sv_core.Apps.corpus_of_app "gen:grow:serial,omp,stdpar,tbb,kokkos:8:8")
+
+let grown_ixs = lazy (Sv_core.Index_engine.index_many ~jobs:1 (grown_cbs ()))
 
 let test_generated_metric_index () =
   let ixs = Lazy.force grown_ixs in
@@ -529,10 +546,34 @@ let test_generated_metric_index () =
   let check name vp =
     Array.iteri
       (fun q c ->
-        if answer (fst (Tbmd.vp_nearest vp ~k c)) <> brute.(q) then
-          Alcotest.failf "%s: k-NN of %d differs from brute force" name q)
+        let hits, ledger = Tbmd.vp_nearest vp ~k c in
+        if answer hits <> brute.(q) then
+          Alcotest.failf "%s: k-NN of %d differs from brute force" name q;
+        checkb "exact query says so" true ledger.Sv_metric.Vptree.guaranteed_exact)
       arr
   in
+  (* the metric-cache key digests the candidates' content keys: equal
+     across two indexings of the same sources, different when one byte
+     of one candidate's source changes *)
+  let cbs = grown_cbs () in
+  let key = Tbmd.vp_key Tbmd.TSem ixs in
+  checkb "key equal across indexings" true
+    (Tbmd.vp_key Tbmd.TSem (Sv_core.Index_engine.index_many ~jobs:1 cbs) = key);
+  let edited =
+    List.mapi
+      (fun i (cb : Sv_corpus.Emit.codebase) ->
+        if i <> n - 1 then cb
+        else
+          match cb.Sv_corpus.Emit.files with
+          | (f, src) :: rest ->
+              let at = String.index src ' ' in
+              let src = String.mapi (fun j ch -> if j = at then '\t' else ch) src in
+              { cb with Sv_corpus.Emit.files = (f, src) :: rest }
+          | [] -> assert false)
+      cbs
+  in
+  checkb "one source byte changes the key" false
+    (Tbmd.vp_key Tbmd.TSem (Sv_core.Index_engine.index_many ~jobs:1 edited) = key);
   let path = Filename.temp_file "sv_metric_cache" ".svz" in
   Fun.protect
     ~finally:(fun () ->
@@ -590,13 +631,50 @@ let test_generated_metric_index () =
     (fun q c ->
       List.iter
         (fun (budget, epsilon) ->
-          let hits, ledger =
-            Tbmd.vp_nearest_budgeted cold ~k ?budget ?epsilon c
-          in
+          let hits, ledger = Tbmd.vp_nearest cold ~k ?budget ?epsilon c in
           if ledger.Sv_metric.Vptree.guaranteed_exact && answer hits <> brute.(q)
           then Alcotest.failf "query %d: ledger claims exact but hits differ" q)
         [ (Some 1, None); (Some (n / 2), None); (None, Some 0.25) ])
     arr
+
+(* Every VP-tree evaluation is the memoised exact divergence, so
+   nearest queries over a corpus whose matrix is already computed —
+   index builds and queries in either pair order — run no DP, and still
+   answer exactly as a brute-force sort. *)
+let test_nearest_after_matrix () =
+  let module T = Sv_perf.Telemetry in
+  let module Nav = Sv_core.Navigation in
+  let ixs = Lazy.force grown_ixs in
+  Tbmd.clear_memo ();
+  checkb "no TED cache installed" true (Tbmd.ted_cache () = None);
+  ignore (Tbmd.matrix Tbmd.TSem ixs);
+  let dp_before = T.ted.T.dp_runs in
+  let k = 3 in
+  let answers =
+    List.map
+      (fun q ->
+        let cands = Nav.nearest_candidates ~query:q ixs in
+        match Nav.nearest_index cands with
+        | None -> (q, cands, [])
+        | Some vp -> (q, cands, fst (Nav.nearest_in vp ~k q)))
+      ixs
+  in
+  checki "nearest after matrix runs no DP" dp_before T.ted.T.dp_runs;
+  List.iter
+    (fun (q, cands, hits) ->
+      let brute =
+        List.mapi
+          (fun i (c : Pipeline.indexed) ->
+            (fst (Tbmd.raw_divergence Tbmd.TSem q c), i, c.Pipeline.ix_model))
+          cands
+        |> List.sort compare
+        |> List.filteri (fun r _ -> r < k)
+        |> List.map (fun (d, _, m) -> (d, m))
+      in
+      let got = List.map (fun (h : Nav.nearest_hit) -> (h.Nav.nh_d, h.Nav.nh_model)) hits in
+      if got <> brute then
+        Alcotest.failf "k-NN of %s differs from brute force" q.Pipeline.ix_model)
+    answers
 
 (* --- dendrogram integration --- *)
 
@@ -714,6 +792,8 @@ let () =
             test_generated_matrix_identical;
           Alcotest.test_case "metric index exact" `Quick
             test_generated_metric_index;
+          Alcotest.test_case "nearest after matrix runs no DP" `Quick
+            test_nearest_after_matrix;
         ] );
       ( "integration",
         [

@@ -303,12 +303,7 @@ let mc_tree n =
   let coords = mc_coords n in
   (coords, Vp.build ~dist:(mc_dist coords) (Array.init n (fun i -> i)))
 
-let knn coords t q k =
-  let dq i ~cutoff =
-    let d = abs (coords.(i) - q) in
-    if d <= cutoff then Some d else None
-  in
-  fst (Vp.nearest ~dist_bounded:dq ~k t)
+let knn coords t q k = fst (Vp.nearest ~dist:(fun i -> abs (coords.(i) - q)) ~k t)
 
 let test_metric_cache_tree_roundtrip () =
   let n = 64 in

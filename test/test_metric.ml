@@ -1,9 +1,8 @@
-(* Property suite for the metric layer: the admissible TED lower bound
-   and VP-tree k-NN queries against brute force. Everything is Prng-seeded (SV_PROP_ITERS scales the volume),
-   so a failure reports a reproducible case. *)
+(* Property suite for the metric layer: VP-tree k-NN queries against
+   brute force. Everything is Prng-seeded (SV_PROP_ITERS scales the
+   volume), so a failure reports a reproducible case. *)
 
 module Tree = Sv_tree.Tree
-module Ted = Sv_tree.Ted
 module Flat = Sv_tree.Flat
 module Vptree = Sv_metric.Vptree
 module Prng = Sv_util.Prng
@@ -32,55 +31,6 @@ let rec gen_tree_sized rng n =
     Tree.node label (List.rev !kids)
   end
 
-let show_tree t = Format.asprintf "%a" (Tree.pp Format.pp_print_int) t
-
-(* --- lower bounds ---------------------------------------------------- *)
-
-(* Admissibility against the brute-force oracle (small trees, so the
-   oracle itself is independent of the DP under test), and dominance of
-   the bound over the size delta. *)
-let test_bounds_admissible () =
-  let rng = Prng.create 0x6b0d_5eed in
-  let iters = max 500 prop_iters in
-  for i = 1 to iters do
-    let a = gen_tree_sized rng (1 + Prng.int rng 10) in
-    let b = gen_tree_sized rng (1 + Prng.int rng 10) in
-    let d = Ted.distance_brute ~eq:Int.equal a b in
-    let ctx fmt =
-      Printf.ksprintf
-        (fun m ->
-          Alcotest.failf "iter %d: %s\n  a = %s\n  b = %s" i m (show_tree a)
-            (show_tree b))
-        fmt
-    in
-    let fa = Flat.of_tree a and fb = Flat.of_tree b in
-    let flb = Flat.lower_bound fa fb in
-    if flb > d then ctx "Flat.lower_bound %d > distance %d" flb d;
-    let sz = abs (Tree.size a - Tree.size b) in
-    if flb < sz then ctx "Flat.lower_bound %d below size delta %d" flb sz;
-    (* the bounded kernel must agree with the unbounded one on both
-       sides of the cutoff *)
-    List.iter
-      (fun cutoff ->
-        match Flat.distance_bounded ~cutoff fa fb with
-        | Some bd when bd <> d -> ctx "bounded %d <> distance %d" bd d
-        | Some bd when bd > cutoff -> ctx "bounded %d over cutoff %d" bd cutoff
-        | None when d <= cutoff ->
-            ctx "bounded None but distance %d <= cutoff %d" d cutoff
-        | _ -> ())
-      [ d - 1; d; d + 2; 0 ]
-  done
-
-let test_bound_identical () =
-  (* equal trees: the bound must be 0, also between separate compiles *)
-  let rng = Prng.create 0xb0 in
-  for _ = 1 to 50 do
-    let a = gen_tree_sized rng (1 + Prng.int rng 12) in
-    let fa = Flat.of_tree a in
-    checki "Flat.lower_bound self" 0 (Flat.lower_bound fa fa);
-    checki "Flat.lower_bound recompiled" 0 (Flat.lower_bound fa (Flat.of_tree a))
-  done
-
 (* --- VP-tree ---------------------------------------------------------- *)
 
 let make_points rng n max_nodes =
@@ -96,18 +46,15 @@ let test_vptree_vs_brute () =
   checki "size" n (Vptree.size t);
   for q = 0 to 49 do
     let query = Flat.of_tree (gen_tree_sized rng (1 + Prng.int rng 10)) in
-    let dist_bounded id ~cutoff =
-      Flat.distance_bounded ~cutoff query flats.(id)
-    in
-    let brute =
-      List.sort compare (List.init n (fun i -> (Flat.distance query flats.(i), i)))
-    in
+    let dist id = Flat.distance query flats.(id) in
+    let brute = List.sort compare (List.init n (fun i -> (dist i, i))) in
     let k = 7 in
-    let knn, knn_evals = Vptree.nearest ~dist_bounded ~k t in
+    let knn, ledger = Vptree.nearest ~dist ~k t in
     let brute_k = List.filteri (fun i _ -> i < k) brute in
     if knn <> brute_k then
       Alcotest.failf "query %d: k-NN differs from brute force" q;
-    checkb "k-NN evals bounded by n" true (knn_evals <= n)
+    checkb "k-NN ledger exact" true ledger.Vptree.guaranteed_exact;
+    checkb "k-NN evals bounded by n" true (ledger.Vptree.evals <= n)
   done
 
 (* Phase 2: the plain-data representation round-trips to a tree with
@@ -128,11 +75,9 @@ let test_vptree_repr_roundtrip () =
       checki "decoded build_evals is zero" 0 (Vptree.build_evals t');
       for q = 0 to 19 do
         let query = Flat.of_tree (gen_tree_sized rng (1 + Prng.int rng 10)) in
-        let dist_bounded id ~cutoff =
-          Flat.distance_bounded ~cutoff query flats.(id)
-        in
-        let h1, e1 = Vptree.nearest ~dist_bounded ~k:5 t in
-        let h2, e2 = Vptree.nearest ~dist_bounded ~k:5 t' in
+        let dist id = Flat.distance query flats.(id) in
+        let h1, e1 = Vptree.nearest ~dist ~k:5 t in
+        let h2, e2 = Vptree.nearest ~dist ~k:5 t' in
         if h1 <> h2 || e1 <> e2 then
           Alcotest.failf "query %d: decoded tree differs (hits or evals)" q
       done);
@@ -177,27 +122,26 @@ let test_vptree_budgeted () =
   let k = 7 in
   for q = 0 to 29 do
     let query = Flat.of_tree (gen_tree_sized rng (1 + Prng.int rng 10)) in
-    let dist_bounded id ~cutoff =
-      Flat.distance_bounded ~cutoff query flats.(id)
-    in
-    let brute =
-      List.sort compare
-        (List.init n (fun i -> (Flat.distance query flats.(i), i)))
-    in
+    let dist id = Flat.distance query flats.(id) in
+    let brute = List.sort compare (List.init n (fun i -> (dist i, i))) in
     let brute_k = List.filteri (fun i _ -> i < k) brute in
     (* unconstrained: exact, and says so *)
-    let hits, ledger = Vptree.nearest_budgeted ~dist_bounded ~k t in
+    let hits, ledger = Vptree.nearest ~dist ~k t in
     if hits <> brute_k then
-      Alcotest.failf "query %d: unconstrained budgeted k-NN not brute" q;
+      Alcotest.failf "query %d: unconstrained k-NN not brute" q;
     checkb "unconstrained ledger exact" true ledger.Vptree.guaranteed_exact;
-    let _, exact_evals = Vptree.nearest ~dist_bounded ~k t in
+    let exact_evals = ledger.Vptree.evals in
     (* honesty across the budget sweep: exact claim implies brute
        equality, and the unconstrained eval count must be reachable
        (ledger claims exact) once the budget covers it *)
     List.iter
       (fun budget ->
-        let hits_b, lb = Vptree.nearest_budgeted ~dist_bounded ~k ~budget t in
+        let hits_b, lb = Vptree.nearest ~dist ~k ~budget t in
         checkb "budget respected" true (lb.Vptree.evals <= max budget 0);
+        if budget >= exact_evals && not lb.Vptree.guaranteed_exact then
+          Alcotest.failf
+            "query %d: budget %d covers the exact search (%d evals) yet \
+             ledger claims approximate" q budget exact_evals;
         if lb.Vptree.guaranteed_exact && hits_b <> brute_k then
           Alcotest.failf
             "query %d: budget %d claims exact but differs from brute" q budget;
@@ -208,9 +152,7 @@ let test_vptree_budgeted () =
     (* ε guarantee: every returned rank within (1+ε) of the true rank *)
     List.iter
       (fun epsilon ->
-        let hits_e, le =
-          Vptree.nearest_budgeted ~dist_bounded ~k ~epsilon t
-        in
+        let hits_e, le = Vptree.nearest ~dist ~k ~epsilon t in
         checki "ε returns k hits" (min k n) (List.length hits_e);
         List.iteri
           (fun i (d, _) ->
@@ -230,23 +172,16 @@ let test_vptree_degenerate () =
   (* single element, and k larger than the population *)
   let dist _ _ = 0 in
   let t = Vptree.build ~dist [| 3 |] in
-  let db _ ~cutoff:_ = Some 0 in
-  let hits, _ = Vptree.nearest ~dist_bounded:db ~k:5 t in
+  let dq _ = 0 in
+  let hits, _ = Vptree.nearest ~dist:dq ~k:5 t in
   checkb "k > n returns everything" true (hits = [ (0, 3) ]);
   let empty = Vptree.build ~dist [||] in
-  let hits, evals = Vptree.nearest ~dist_bounded:db ~k:3 empty in
-  checkb "empty index" true (hits = [] && evals = 0)
+  let hits, ledger = Vptree.nearest ~dist:dq ~k:3 empty in
+  checkb "empty index" true (hits = [] && ledger.Vptree.evals = 0)
 
 let () =
   Alcotest.run "sv_metric"
     [
-      ( "bounds",
-        [
-          Alcotest.test_case "admissible vs brute oracle" `Quick
-            test_bounds_admissible;
-          Alcotest.test_case "zero on identical trees" `Quick
-            test_bound_identical;
-        ] );
       ( "vptree",
         [
           Alcotest.test_case "k-NN equals brute force" `Quick

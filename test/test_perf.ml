@@ -164,7 +164,7 @@ let test_telemetry_reset_and_diff () =
   checki "diff equal_prunes" 3 diff.T.equal_prunes;
   checki "diff dp_runs" 2 diff.T.dp_runs;
   checki "diff strategy_right" 1 diff.T.strategy_right;
-  checki "untouched counter" 0 diff.T.size_prunes;
+  checki "untouched counter" 0 diff.T.flat_compiles;
   checki "pruned total" 3 (T.ted_pruned diff);
   (* the snapshot is an independent copy, not an alias *)
   let snap = T.ted_snapshot () in
@@ -181,14 +181,15 @@ let contains hay needle =
 
 let test_telemetry_rows_and_string () =
   T.reset_ted ();
-  T.ted.T.size_prunes <- 5;
+  T.ted.T.equal_prunes <- 5;
   T.ted.T.dp_runs <- 7;
   let rows = T.ted_rows (T.ted_snapshot ()) in
-  checki "rows cover every counter" 8 (List.length rows);
-  checkb "size prunes row carries its value" true
-    (List.exists (fun (k, v) -> v = 5 && contains k "size") rows);
+  checki "rows cover every counter" 6 (List.length rows);
+  checkb "equal prunes row carries its value" true
+    (List.exists (fun (k, v) -> v = 5 && contains k "equal") rows);
   let s = T.ted_to_string (T.ted_snapshot ()) in
-  checkb "summary mentions the prune split" true (contains s "size 5");
+  checkb "summary counts pairs settled without a DP" true
+    (contains s "ted: 5 of 12 pairs settled without a DP (equal 5)");
   checkb "summary mentions DP runs" true (contains s "7 DP runs");
   T.reset_ted ()
 

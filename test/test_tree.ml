@@ -250,19 +250,6 @@ let check_pair ~max_brute i a b c =
   if fd <> d then ctx "flat kernel %d disagrees with distance %d" fd d;
   if Flat.distance fb fa <> d then
     ctx "flat kernel not symmetric: %d vs %d" (Flat.distance fb fa) d;
-  let flb = Flat.lower_bound fa fb in
-  if flb > d then ctx "Flat.lower_bound %d exceeds the distance %d" flb d;
-  List.iter
-    (fun cutoff ->
-      match Flat.distance_bounded ~cutoff fa fb with
-      | Some bd ->
-          if bd <> d || d > cutoff then
-            ctx "Flat.distance_bounded (cutoff %d) = %d, want %d" cutoff bd d
-      | None ->
-          if d <= cutoff then
-            ctx "Flat.distance_bounded refused a pair within cutoff %d (d = %d)"
-              cutoff d)
-    [ d - 1; d; d + 3; 0; 64 ];
   let dac = ted a c and dbc = ted b c in
   if dac > d + dbc then
     ctx "triangle inequality violated via %s: %d > %d + %d" (show_tree c) dac d dbc
@@ -279,9 +266,9 @@ let run_oracle ~iters ~max_nodes ~max_brute () =
 
 let test_oracle_default () = run_oracle ~iters:(max 500 prop_iters) ~max_nodes:10 ~max_brute:18 ()
 
-(* Long mode: larger trees stress the keyroots decomposition and the
-   bounded kernels' early exit; the brute oracle only sees pairs it can
-   afford. Excluded from @quick via the `Slow speed level. *)
+(* Long mode: larger trees stress the keyroots decomposition; the brute
+   oracle only sees pairs it can afford. Excluded from @quick via the
+   `Slow speed level. *)
 let test_oracle_long () =
   run_oracle ~iters:(max 500 prop_iters) ~max_nodes:26 ~max_brute:20 ()
 
@@ -394,23 +381,15 @@ let test_hashcons_canon_ted_agrees () =
       Alcotest.failf "pair %d: flat TED through canon %d, direct %d" i
         (Flat.distance fa fb) d;
     if Flat.distance fa (Flat.of_tree ca) <> 0 then
-      Alcotest.failf "pair %d: a recompiled flat is not at distance 0" i;
-    List.iter
-      (fun cutoff ->
-        let want = if d <= cutoff then Some d else None in
-        if Flat.distance_bounded ~cutoff fa fb <> want then
-          Alcotest.failf "pair %d: bounded TED through canon disagrees at cutoff %d"
-            i cutoff)
-      [ d - 1; d; d + 3 ]
+      Alcotest.failf "pair %d: a recompiled flat is not at distance 0" i
   done
 
 (* --- flat kernel ----------------------------------------------------- *)
 
 module T = Sv_perf.Telemetry
 
-(* Degenerate shapes where off-by-ones and empty histograms would bite:
-   single nodes, uniform labels, and a chain vs a star (where only the
-   leaf/height components of the lower bound are nonzero). *)
+(* Degenerate shapes where off-by-ones would bite: single nodes,
+   uniform labels, and a chain vs a star of the same size and labels. *)
 let test_flat_degenerate () =
   let chain n = List.fold_left (fun acc _ -> node 0 [ acc ]) (leaf 0) (List.init (n - 1) Fun.id) in
   let star n = node 0 (List.init (n - 1) (fun _ -> leaf 0)) in
@@ -427,15 +406,8 @@ let test_flat_degenerate () =
         Alcotest.failf "degenerate pair %d: zs %d, brute %d" i (ted a b) want;
       let fa = Flat.of_tree a and fb = Flat.of_tree b in
       if Flat.distance fa fb <> want then
-        Alcotest.failf "degenerate pair %d: flat %d, brute %d" i (Flat.distance fa fb) want;
-      let lb = Flat.lower_bound fa fb in
-      if lb > want then
-        Alcotest.failf "degenerate pair %d: lower bound %d above distance %d" i lb want)
-    pairs;
-  (* chain vs star, same size and labels: the histogram/size components
-     are 0, so only the strengthened leaf/height components can prune *)
-  let lb = Flat.lower_bound (Flat.of_tree (chain 6)) (Flat.of_tree (star 6)) in
-  checki "chain-vs-star bound from leaves/height" 4 lb
+        Alcotest.failf "degenerate pair %d: flat %d, brute %d" i (Flat.distance fa fb) want)
+    pairs
 
 (* Left and right combs skew the keyroot costs maximally; the strategy
    rule must pick the cheap direction on both orders and the distances
@@ -478,13 +450,7 @@ let test_flat_scratch_reuse () =
           let fresh = Flat.distance ~scratch:(Flat.scratch ()) fa fb in
           if shared_scratch <> fresh then
             Alcotest.failf "pair (%d,%d): reused scratch %d, fresh %d" i j
-              shared_scratch fresh;
-          let cutoff = Prng.int rng 12 in
-          let bounded = Flat.distance_bounded ~scratch:s ~cutoff fa fb in
-          let want = if fresh <= cutoff then Some fresh else None in
-          if bounded <> want then
-            Alcotest.failf "pair (%d,%d): bounded at %d disagrees after reuse" i j
-              cutoff)
+              shared_scratch fresh)
         flats)
     flats
 
