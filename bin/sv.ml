@@ -329,7 +329,7 @@ let compare_cmd =
             with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun jobs ->
             if stats then Sv_perf.Telemetry.reset_ted ();
             let bix, tix =
-              match Sv_core.Index_engine.index_many ~jobs [ b; t ] with
+              match Sv_core.Index_engine.index_many ~run:false ~jobs [ b; t ] with
               | [ bix; tix ] -> (bix, tix)
               | _ -> assert false
             in
@@ -356,7 +356,7 @@ let cluster_cmd =
     | Some m ->
         with_app app (fun cbs ->
             with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun jobs ->
-            let ixs = Sv_core.Index_engine.index_many ~jobs cbs in
+            let ixs = Sv_core.Index_engine.index_many ~run:false ~jobs cbs in
             print_string (Engine.render_cluster m ixs);
             `Ok ())
   in
@@ -390,7 +390,7 @@ let nearest_cmd =
                   with_engine ?index_cache ?metric_cache ~jobs ~ted_cache
                     ~fault:None
                   @@ fun jobs ->
-                  let ixs = Sv_core.Index_engine.index_many ~jobs cbs in
+                  let ixs = Sv_core.Index_engine.index_many ~run:false ~jobs cbs in
                   let qix = List.assq cb (List.combine cbs ixs) in
                   print_string
                     (Engine.render_nearest ~app ~model ~k ?budget ?epsilon m
@@ -431,7 +431,7 @@ let phi_cmd =
 let chart_cmd =
   let run app =
     with_app app (fun cbs ->
-        let ixs = List.map Pipeline.index cbs in
+        let ixs = Sv_core.Index_engine.index_many ~run:false ~jobs:1 cbs in
         match
           List.find_opt (fun (c : Pipeline.indexed) -> c.Pipeline.ix_model = "serial") ixs
         with

@@ -12,11 +12,13 @@ let cache () = !cache_ref
 
 (* --- payload codecs --------------------------------------------------- *)
 
-(* The cache stores a fully indexed codebase: every tree, every count,
-   the normalised lines, and the interpreter's verdict + coverage when it
-   ran. Trees reuse the Codebase DB codec so the payload shares its
-   locations-included exactness (the warm path must reproduce [to_db]
-   bytes, coverage masks and all). *)
+(* The cache holds two records per codebase. The trees record, under
+   [Pipeline.codebase_key], is every tree, every count and the
+   normalised lines; the run record, under [run_key] of that key, is the
+   interpreter's coverage and verdict, written only once some caller
+   asked for a run. Trees reuse the Codebase DB codec so the payload
+   shares its locations-included exactness (the warm path must
+   reproduce [to_db] bytes, coverage masks and all). *)
 
 let tree_to_msgpack = Sv_db.Codebase_db.tree_to_msgpack
 let tree_of_msgpack = Sv_db.Codebase_db.tree_of_msgpack
@@ -129,11 +131,20 @@ let verification_of_msgpack = function
       Ok { Pipeline.v_ok = ok; v_output = output; v_steps = steps }
   | _ -> Error "malformed verification"
 
-let opt_to_msgpack f = function None -> M.Nil | Some x -> f x
+let run_to_msgpack (cov, v) =
+  M.Arr [ coverage_to_msgpack cov; verification_to_msgpack v ]
 
-let opt_of_msgpack f = function
-  | M.Nil -> Ok None
-  | v -> Result.map Option.some (f v)
+let run_of_msgpack = function
+  | M.Arr [ cov; v ] ->
+      let* cov = coverage_of_msgpack cov in
+      let* v = verification_of_msgpack v in
+      Ok (cov, v)
+  | _ -> Error "malformed run record"
+
+let run_of (ix : Pipeline.indexed) =
+  match (ix.Pipeline.ix_coverage, ix.ix_verification) with
+  | Some cov, Some v -> Some (cov, v)
+  | _ -> None
 
 let indexed_to_msgpack (ix : Pipeline.indexed) =
   M.Arr
@@ -143,14 +154,12 @@ let indexed_to_msgpack (ix : Pipeline.indexed) =
       M.Str ix.ix_model_name;
       M.Str (match ix.ix_lang with `C -> "c" | `F -> "f");
       M.Arr (List.map unit_info_to_msgpack ix.ix_units);
-      opt_to_msgpack coverage_to_msgpack ix.ix_coverage;
-      opt_to_msgpack verification_to_msgpack ix.ix_verification;
       M.Bin ix.ix_key;
     ]
 
 let indexed_of_msgpack = function
   | M.Arr [ M.Str app; M.Str model; M.Str model_name; M.Str lang; M.Arr units;
-            cov; verif; M.Bin key ] ->
+            M.Bin key ] ->
       let* lang =
         match lang with
         | "c" -> Ok `C
@@ -166,8 +175,6 @@ let indexed_of_msgpack = function
           (Ok []) units
         |> Result.map List.rev
       in
-      let* coverage = opt_of_msgpack coverage_of_msgpack cov in
-      let* verification = opt_of_msgpack verification_of_msgpack verif in
       Ok
         {
           Pipeline.ix_app = app;
@@ -175,8 +182,8 @@ let indexed_of_msgpack = function
           ix_model_name = model_name;
           ix_lang = lang;
           ix_units = units;
-          ix_coverage = coverage;
-          ix_verification = verification;
+          ix_coverage = None;
+          ix_verification = None;
           ix_key = key;
           (* the mask memo is a per-process performance artifact, rebuilt
              lazily — never serialised *)
@@ -186,20 +193,70 @@ let indexed_of_msgpack = function
 
 (* --- the engine ------------------------------------------------------- *)
 
-let decode_payload payload =
+(* The run record's key: 16 bytes, like every index-cache key, derived
+   from the trees key, so it names the same sources, defines, dialect
+   and pipeline version. *)
+let run_key key = Digest.string ("run|" ^ key)
+
+let decode_with of_msgpack payload =
   match M.decode payload with
   | exception M.Decode_error _ -> None
-  | v -> (
-      match indexed_of_msgpack v with Ok ix -> Some ix | Error _ -> None)
+  | v -> Result.to_option (of_msgpack v)
 
-(* Ship one indexed codebase (or a chunk of them) across the worker pipe. *)
-let encode_indexed_list ixs = M.Arr (List.map indexed_to_msgpack ixs)
+let add_run c key r = Index_cache.add c (run_key key) (M.encode (run_to_msgpack r))
+
+(* Store a freshly computed codebase: its trees record, and its run
+   record when the interpreter ran. *)
+let store (ix : Pipeline.indexed) =
+  match !cache_ref with
+  | None -> ()
+  | Some c -> (
+      Index_cache.add c ix.Pipeline.ix_key (M.encode (indexed_to_msgpack ix));
+      match run_of ix with Some r -> add_run c ix.ix_key r | None -> ())
+
+let with_run cb (ix : Pipeline.indexed) =
+  if run_of ix <> None then ix
+  else
+    match !cache_ref with
+    | None -> Pipeline.with_run ix (Pipeline.interpret cb)
+    | Some c -> (
+        match
+          Option.bind
+            (Index_cache.find c (run_key ix.Pipeline.ix_key))
+            (decode_with run_of_msgpack)
+        with
+        | Some r -> Pipeline.with_run ix r
+        | None ->
+            let r = Pipeline.interpret cb in
+            add_run c ix.ix_key r;
+            Pipeline.with_run ix r)
+
+(* Ship one indexed codebase (or a chunk of them) across the worker pipe:
+   its trees and, when the worker ran the interpreter, its run. *)
+let encode_indexed_list ixs =
+  M.Arr
+    (List.map
+       (fun ix ->
+         M.Arr
+           [
+             indexed_to_msgpack ix;
+             (match run_of ix with Some r -> run_to_msgpack r | None -> M.Nil);
+           ])
+       ixs)
 
 let decode_indexed_list = function
   | M.Arr vs ->
       List.map
         (fun v ->
-          match indexed_of_msgpack v with
+          let decoded =
+            match v with
+            | M.Arr [ trees; M.Nil ] -> indexed_of_msgpack trees
+            | M.Arr [ trees; run ] ->
+                let* ix = indexed_of_msgpack trees in
+                Result.map (Pipeline.with_run ix) (run_of_msgpack run)
+            | _ -> Error "malformed entry"
+          in
+          match decoded with
           | Ok ix -> ix
           | Error e -> failwith ("index worker frame: " ^ e))
         vs
@@ -241,18 +298,16 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
   let cbs = Array.of_list cbs in
   let n = Array.length cbs in
   let out : Pipeline.indexed option array = Array.make n None in
-  (* cache probe *)
-  let keys = Array.make n "" in
+  (* trees probe *)
   (match !cache_ref with
   | None -> ()
   | Some c ->
       Array.iteri
         (fun i cb ->
-          let k = Pipeline.codebase_key ~run cb in
-          keys.(i) <- k;
-          match Index_cache.find c k with
-          | None -> ()
-          | Some payload -> out.(i) <- decode_payload payload)
+          out.(i) <-
+            Option.bind
+              (Index_cache.find c (Pipeline.codebase_key cb))
+              (decode_with indexed_of_msgpack))
         cbs);
   let misses =
     Array.to_list (Array.mapi (fun i cb -> (i, cb)) cbs)
@@ -260,11 +315,7 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
   in
   let record i ix =
     out.(i) <- Some ix;
-    match !cache_ref with
-    | None -> ()
-    | Some c ->
-        let k = if keys.(i) <> "" then keys.(i) else Pipeline.codebase_key ~run cbs.(i) in
-        Index_cache.add c k (M.encode (indexed_to_msgpack ix))
+    store ix
   in
   let nmiss = List.length misses in
   if nmiss > 0 then begin
@@ -277,7 +328,8 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
       (* whole-codebase grain: enough misses to keep every worker busy.
          Chunked submission amortises fork/pipe overhead; results are
          reassembled by chunk index, so order — hence output — matches
-         the serial path byte for byte. *)
+         the serial path byte for byte. Asked for a run, each worker
+         interprets the codebases it indexes, so runs go parallel too. *)
       let chunk =
         match chunk with
         | Some c -> max 1 c
@@ -307,10 +359,9 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
     | `Unit -> begin
       (* unit grain: fewer codebases than workers, so split MiniC
          codebases into per-unit tasks and let the parent reassemble via
-         the [unit_indexer] hook (re-running the interpreter in-process —
-         the linked program is cheap to re-parse, and coverage recording
-         in a forked child would be lost anyway). MiniF codebases are
-         single-unit and interpreter-dominated: they stay serial. *)
+         the [unit_indexer] hook (and interpret in-process when asked —
+         the run needs the whole linked program, not one unit). MiniF
+         codebases are single-unit: they stay serial. *)
       let c_misses = List.filter (fun (_, cb) -> cb.Emit.lang = `C) misses in
       let f_misses = List.filter (fun (_, cb) -> cb.Emit.lang = `F) misses in
       let tasks =
@@ -350,10 +401,12 @@ let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
       List.iter (fun (i, cb) -> record i (Pipeline.index ~run cb)) f_misses
     end
   end;
+  (* a trees hit asked for a run reads or computes its run record *)
   Array.to_list
-    (Array.map
-       (function
-         | Some ix -> ix
+    (Array.mapi
+       (fun i ix ->
+         match ix with
+         | Some ix -> if run then with_run cbs.(i) ix else ix
          | None -> assert false (* every index is a hit or a recorded miss *))
        out)
 

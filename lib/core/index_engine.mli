@@ -13,8 +13,13 @@
       applies unchanged.
     - {b Persistent cache.} When a {!Sv_db.Index_cache} is installed
       ({!set_cache}; the CLI's [--index-cache] / [SV_INDEX_CACHE]),
-      every result is stored under {!Pipeline.codebase_key} and a warm run skips
-      preprocessing, parsing, lowering and interpretation wholesale.
+      each codebase has two records in it. The {e trees record}, under
+      {!Pipeline.codebase_key}, holds every tree, count and normalised
+      line; a warm run skips preprocessing, parsing and lowering. The
+      {e run record}, under {!run_key} of that key, holds the
+      interpreter's coverage and verdict. It is written only when a
+      caller asks for a run ([~run:true]), so trees-only callers never
+      interpret, and a later run reuses it.
     - {b Hash-consed trees} live below, in {!Sv_tree.Hashcons} /
       {!Sv_metrics.Divergence} — decoded or freshly built trees are
       interned on first comparison, so the warm path feeds the same
@@ -57,15 +62,35 @@ val index_many :
   ?chunk:int ->
   Sv_corpus.Emit.codebase list ->
   Pipeline.indexed list
-(** [index_many cbs] indexes a batch, in order. Cache hits are served
-    directly (an undecodable payload counts as a miss, never an error);
-    misses run at the grain {!plan_grain} picks — serially, in the
-    worker pool at whole-codebase grain (submission chunk [?chunk],
-    default [max 1 (misses / (2 * jobs))]), or at unit grain when misses
-    are scarcer than workers. Every freshly computed result is added to
-    the installed cache. [jobs] defaults to
-    {!Sv_sched.Sched.default_jobs}. The result is byte-identical to
-    [List.map (Pipeline.index ~run) cbs] in all configurations. *)
+(** [index_many cbs] indexes a batch, in order. Trees records found in
+    the cache are served directly (an undecodable payload counts as a
+    miss, never an error); misses run at the grain {!plan_grain} picks —
+    serially, in the worker pool at whole-codebase grain (submission
+    chunk [?chunk], default [max 1 (misses / (2 * jobs))]), or at unit
+    grain when misses are scarcer than workers. Every freshly computed
+    result is added to the installed cache.
+
+    With [~run:true] (the default) every result also carries the
+    interpreter's coverage and verdict. A trees miss is interpreted
+    where its trees are built (in the worker at codebase grain, in the
+    parent otherwise); a trees hit reads its run record, or interprets
+    in the parent and stores one ({!with_run}). With [~run:false]
+    nothing is interpreted and [ix_coverage]/[ix_verification] are
+    [None].
+
+    [jobs] defaults to {!Sv_sched.Sched.default_jobs}. The result is
+    byte-identical to [List.map (Pipeline.index ~run) cbs] in all
+    configurations. *)
+
+val with_run : Sv_corpus.Emit.codebase -> Pipeline.indexed -> Pipeline.indexed
+(** [with_run cb ix] is [ix] (an index of [cb]) with the interpreter's
+    coverage and verdict: [ix] itself when it has them, else the run
+    record from the installed cache, else {!Pipeline.interpret} — whose
+    result is then stored as the run record. *)
+
+val run_key : string -> string
+(** [run_key k] is the cache key of the run record of the codebase whose
+    trees record is keyed [k]. *)
 
 val warm_ted : Sv_tree.Label.tree list -> unit
 (** [warm_ted trees] pre-compiles the flat TED kernel of every tree
@@ -82,11 +107,13 @@ val warm_ted : Sv_tree.Label.tree list -> unit
     cache stores. *)
 
 val indexed_to_msgpack : Pipeline.indexed -> Sv_msgpack.Msgpack.t
+(** The trees record: everything but [ix_coverage] and
+    [ix_verification], which travel in the run record. *)
 
 val indexed_of_msgpack :
   Sv_msgpack.Msgpack.t -> (Pipeline.indexed, string) Result.t
 (** Inverse of {!indexed_to_msgpack} up to the per-process mask memo
-    (rebuilt empty) and coverage table layout (observationally equal). *)
+    (rebuilt empty); the result carries no run. *)
 
 val unit_info_to_msgpack : Pipeline.unit_info -> Sv_msgpack.Msgpack.t
 

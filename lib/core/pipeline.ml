@@ -37,11 +37,12 @@ type indexed = {
 
 (* The source digest covers everything that selects or shapes the
    indexing inputs: identity metadata, the unit list, every file name and
-   content, the system-header mask, and whether the interpreter runs
-   (a run:false payload has no coverage to serve a run:true request). The
-   preprocessor defines and dialect travel as their own key components so
-   invalidation tests can flip them independently. *)
-let codebase_key ~run (cb : Emit.codebase) =
+   content, and the system-header mask. The preprocessor defines and
+   dialect travel as their own key components so invalidation tests can
+   flip them independently. Whether the interpreter ran is not part of
+   it: the interpreter's results are a separate record, keyed by
+   [Index_engine] from this key. *)
+let codebase_key (cb : Emit.codebase) =
   let strs xs = M.Arr (List.map (fun s -> M.Str s) xs) in
   let source_digest =
     Digest.string
@@ -58,7 +59,6 @@ let codebase_key ~run (cb : Emit.codebase) =
                    (fun (name, content) -> M.Arr [ M.Str name; M.Str content ])
                    cb.Emit.files);
               strs cb.Emit.system_headers;
-              M.Bool run;
             ]))
   in
   Sv_db.Index_cache.key ~source_digest
@@ -93,14 +93,17 @@ let inline_env units name =
   in
   match find name with Some f -> Some f | None -> find underscored
 
-let index_c_unit (cb : Emit.codebase) file =
+let preprocess (cb : Emit.codebase) file =
   let resolve name = List.assoc_opt name cb.Emit.files in
   let src =
     match List.assoc_opt file cb.Emit.files with
     | Some s -> s
     | None -> failwith (Printf.sprintf "unit %s not among the codebase files" file)
   in
-  let pp = Sv_lang_c.Preproc.run ~resolve ~defines:cb.Emit.defines ~file src in
+  (resolve, src, Sv_lang_c.Preproc.run ~resolve ~defines:cb.Emit.defines ~file src)
+
+let index_c_unit_info (cb : Emit.codebase) file =
+  let resolve, src, pp = preprocess cb file in
   let system = cb.Emit.system_headers in
   (* pre-preprocessor view: the unit is the file plus every non-system
      dependency, each contributing its own CST and normalised lines *)
@@ -145,76 +148,35 @@ let index_c_unit (cb : Emit.codebase) file =
       0 unit_files
   in
   let lloc_pp = Sv_metrics.Counts.lloc_c pp.Sv_lang_c.Preproc.tokens in
-  ( {
-      u_file = file;
-      u_deps = pp.Sv_lang_c.Preproc.deps;
-      u_sloc = Sv_metrics.Counts.sloc_of_lines lines;
-      u_sloc_pp = Sv_metrics.Counts.sloc_of_lines lines_pp;
-      u_lloc = lloc;
-      u_lloc_pp = lloc_pp;
-      u_lines = lines;
-      u_lines_pp = lines_pp;
-      u_t_src = t_src;
-      u_t_src_pp = t_src_pp;
-      u_t_sem = t_sem;
-      u_t_sem_i = t_sem_i;
-      u_t_ir = t_ir;
-    },
-    ast )
-
-let index_c_unit_info cb file = fst (index_c_unit cb file)
+  {
+    u_file = file;
+    u_deps = pp.Sv_lang_c.Preproc.deps;
+    u_sloc = Sv_metrics.Counts.sloc_of_lines lines;
+    u_sloc_pp = Sv_metrics.Counts.sloc_of_lines lines_pp;
+    u_lloc = lloc;
+    u_lloc_pp = lloc_pp;
+    u_lines = lines;
+    u_lines_pp = lines_pp;
+    u_t_src = t_src;
+    u_t_src_pp = t_src_pp;
+    u_t_sem = t_sem;
+    u_t_sem_i = t_sem_i;
+    u_t_ir = t_ir;
+  }
 
 (* Just the AST of one unit — preprocess + parse, no trees, no IR, no
-   counts. The parallel engine uses it to rerun the interpreter in the
-   parent over units whose [unit_info]s were computed in workers: ASTs
-   carry closures-free but deeply shared structure that is cheaper to
-   re-derive than to ship over a pipe. *)
-let c_unit_ast (cb : Emit.codebase) file =
-  let resolve name = List.assoc_opt name cb.Emit.files in
-  let src =
-    match List.assoc_opt file cb.Emit.files with
-    | Some s -> s
-    | None -> failwith (Printf.sprintf "unit %s not among the codebase files" file)
-  in
-  let pp = Sv_lang_c.Preproc.run ~resolve ~defines:cb.Emit.defines ~file src in
+   counts: what the interpreter needs. *)
+let c_unit_ast cb file =
+  let _, _, pp = preprocess cb file in
   Sv_lang_c.Parser.parse_tokens ~file pp.Sv_lang_c.Preproc.tokens
 
-let index_c ?unit_indexer (cb : Emit.codebase) ~run =
+let index_c ?unit_indexer (cb : Emit.codebase) =
   let files = cb.Emit.main_file :: cb.Emit.extra_units in
-  let unit_infos, asts =
-    match unit_indexer with
-    | None ->
-        let unit_results = List.map (index_c_unit cb) files in
-        (List.map fst unit_results, lazy (List.map snd unit_results))
-    | Some indexer ->
-        (* unit_infos come from the hook (workers, a cache); the ASTs the
-           interpreter needs are re-derived lazily, so a no-run index
-           never parses in the parent at all *)
-        (indexer files, lazy (List.map (c_unit_ast cb) files))
-  in
-  let coverage, verification =
-    if not run then (None, None)
-    else begin
-      (* every translation unit links into one program; the interpreter
-         sees them all and enters main *)
-      let o = Sv_interp.Interp_c.run (Lazy.force asts) in
-      let ok =
-        match o.Sv_interp.Interp_c.result with
-        | Ok (Sv_interp.Interp_c.VInt 0) -> true
-        | _ -> false
-      in
-      ( Some o.Sv_interp.Interp_c.coverage,
-        Some
-          {
-            v_ok = ok;
-            v_output = o.Sv_interp.Interp_c.output;
-            v_steps = o.Sv_interp.Interp_c.steps;
-          } )
-    end
-  in
-  (unit_infos, coverage, verification)
+  match unit_indexer with
+  | None -> List.map (index_c_unit_info cb) files
+  | Some indexer -> indexer files
 
-let index_f (cb : Emit.codebase) ~run =
+let index_f (cb : Emit.codebase) =
   let file = cb.Emit.main_file in
   let src = List.assoc file cb.Emit.files in
   let ast = Sv_lang_f.Parser.parse ~file src in
@@ -227,7 +189,7 @@ let index_f (cb : Emit.codebase) ~run =
   let t_ir = Sv_ir.Ir.to_tree ir in
   let lines = Sv_metrics.Normalize.f_lines ~file src in
   let lloc = Sv_metrics.Counts.lloc_f (Sv_lang_f.Token.lex ~file src) in
-  let unit_info =
+  [
     {
       u_file = file;
       u_deps = [];
@@ -245,54 +207,73 @@ let index_f (cb : Emit.codebase) ~run =
       u_t_sem = t_sem;
       u_t_sem_i = t_sem;
       u_t_ir = t_ir;
-    }
-  in
-  let coverage, verification =
-    if not run then (None, None)
-    else begin
-      let o = Sv_interp.Interp_f.run ast in
+    };
+  ]
+
+(* The one place the interpreter runs. The sources are parsed again here
+   rather than shared with the tree builders, so indexing that never
+   asks for a run never pays for one, and units indexed elsewhere (a
+   worker, the cache) need nothing shipped back but their trees. *)
+let interpret (cb : Emit.codebase) =
+  match cb.Emit.lang with
+  | `C ->
+      (* every translation unit links into one program; the interpreter
+         sees them all and enters main *)
+      let asts = List.map (c_unit_ast cb) (cb.Emit.main_file :: cb.Emit.extra_units) in
+      let o = Sv_interp.Interp_c.run asts in
+      let ok =
+        match o.Sv_interp.Interp_c.result with
+        | Ok (Sv_interp.Interp_c.VInt 0) -> true
+        | _ -> false
+      in
+      ( o.Sv_interp.Interp_c.coverage,
+        {
+          v_ok = ok;
+          v_output = o.Sv_interp.Interp_c.output;
+          v_steps = o.Sv_interp.Interp_c.steps;
+        } )
+  | `F ->
+      let file = cb.Emit.main_file in
+      let o = Sv_interp.Interp_f.run (Sv_lang_f.Parser.parse ~file (List.assoc file cb.Emit.files)) in
       let passed =
         match o.Sv_interp.Interp_f.result with
         | Ok () ->
             (* Fortran ports report via printed validation text *)
-            let contains_pass =
-              let s = o.Sv_interp.Interp_f.output in
-              let needle = "Validation PASSED" in
-              let n = String.length needle and m = String.length s in
-              let rec scan i = i + n <= m && (String.sub s i n = needle || scan (i + 1)) in
-              scan 0
-            in
-            contains_pass
+            let s = o.Sv_interp.Interp_f.output in
+            let needle = "Validation PASSED" in
+            let n = String.length needle and m = String.length s in
+            let rec scan i = i + n <= m && (String.sub s i n = needle || scan (i + 1)) in
+            scan 0
         | Error _ -> false
       in
-      ( Some o.Sv_interp.Interp_f.coverage,
-        Some
-          {
-            v_ok = passed;
-            v_output = o.Sv_interp.Interp_f.output;
-            v_steps = o.Sv_interp.Interp_f.steps;
-          } )
-    end
-  in
-  ([ unit_info ], coverage, verification)
+      ( o.Sv_interp.Interp_f.coverage,
+        {
+          v_ok = passed;
+          v_output = o.Sv_interp.Interp_f.output;
+          v_steps = o.Sv_interp.Interp_f.steps;
+        } )
+
+let with_run ix (coverage, verification) =
+  { ix with ix_coverage = Some coverage; ix_verification = Some verification }
 
 let index ?(run = true) ?unit_indexer (cb : Emit.codebase) =
-  let units, coverage, verification =
-    match cb.Emit.lang with
-    | `C -> index_c ?unit_indexer cb ~run
-    | `F -> index_f cb ~run
+  let ix =
+    {
+      ix_app = cb.Emit.app;
+      ix_model = cb.Emit.model;
+      ix_model_name = cb.Emit.model_name;
+      ix_lang = cb.Emit.lang;
+      ix_units =
+        (match cb.Emit.lang with
+        | `C -> index_c ?unit_indexer cb
+        | `F -> index_f cb);
+      ix_coverage = None;
+      ix_verification = None;
+      ix_key = codebase_key cb;
+      ix_mask_memo = Hashtbl.create 32;
+    }
   in
-  {
-    ix_app = cb.Emit.app;
-    ix_model = cb.Emit.model;
-    ix_model_name = cb.Emit.model_name;
-    ix_lang = cb.Emit.lang;
-    ix_units = units;
-    ix_coverage = coverage;
-    ix_verification = verification;
-    ix_key = codebase_key ~run cb;
-    ix_mask_memo = Hashtbl.create 32;
-  }
+  if run then with_run ix (interpret cb) else ix
 
 let metric_tag = function
   | `TSrc -> "t_src"
@@ -324,7 +305,13 @@ let unit_tree ~metric ~coverage ix u =
             let t = Sv_metrics.Divergence.mask_tree cov base in
             Hashtbl.add ix.ix_mask_memo key t;
             t)
-    | None -> base
+    | None ->
+        (* a run-less index has no coverage to mask with; answering with
+           the unmasked tree would put a wrong +cov cell in every memo
+           keyed on [ix_key] *)
+        invalid_arg
+          (Printf.sprintf "Pipeline.unit_tree: %s/%s was indexed without a run; +cov needs coverage"
+             ix.ix_app ix.ix_model)
 
 let to_db ix =
   let unit_record (u : unit_info) =

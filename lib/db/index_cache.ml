@@ -2,8 +2,11 @@ module M = Sv_msgpack.Msgpack
 
 (* Bump when any indexing stage (preprocess, parse, lowering, inlining,
    interpreter-driven coverage, or the serialised payload layout) changes
-   meaning: stale payloads must never decode as current ones. *)
-let pipeline_version = 2
+   meaning: stale payloads must never decode as current ones. Version 3
+   split each codebase into a trees record and a separate run record
+   (coverage and verdict), and dropped the run flag from the key, so a
+   version-2 file loads as a cold start. *)
+let pipeline_version = 3
 
 type cache = {
   store : Store.t;  (* 16-byte key -> encoded payload *)

@@ -2,10 +2,12 @@
 
     Sibling of {!Codebase_db.Ted_cache}, one layer earlier in the
     pipeline: where the TED cache memoises pairwise distances, this one
-    memoises the {e front-end} — the serialised trees, SLOC/LLOC counts
-    and verification/coverage results a codebase indexes to — so a warm
-    rerun of `sv index/compare/cluster` or the bench harness skips
-    preprocessing, parsing, lowering and interpretation entirely.
+    memoises the {e front-end} — the serialised trees and SLOC/LLOC
+    counts a codebase indexes to, and, as a separate record, the
+    interpreter's verification/coverage results once a caller asked for
+    them — so a warm rerun of `sv index/compare/cluster` or the bench
+    harness skips preprocessing, parsing, lowering and interpretation
+    entirely.
 
     The cache itself is payload-agnostic: it maps 16-byte keys to opaque
     encoded payloads. The codecs for indexed codebases live in

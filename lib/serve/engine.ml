@@ -162,11 +162,11 @@ let encode_payload ix = M.encode (Index_engine.indexed_to_msgpack ix)
 (* Resolve a list of codebases against the LRU; misses go through the
    cache-aware engine (the resident index cache is installed, so a miss
    here may still be a persistent-cache hit) and become resident.
+   Residents are indexed without a run: only the [index] verb reads the
+   interpreter's results, and it attaches them itself ([obtain_run]).
    [warm] is true iff everything was already decoded and live. *)
 let obtain t cbs =
-  let keyed =
-    List.map (fun cb -> (Pipeline.codebase_key ~run:true cb, cb)) cbs
-  in
+  let keyed = List.map (fun cb -> (Pipeline.codebase_key cb, cb)) cbs in
   let probed = List.map (fun (key, cb) -> (key, cb, Lru.find t.lru key)) keyed in
   let missing =
     List.filter_map
@@ -178,7 +178,8 @@ let obtain t cbs =
     | [] -> []
     | _ ->
         let ixs =
-          Index_engine.index_many ~jobs:t.cfg.jobs (List.map snd missing)
+          Index_engine.index_many ~run:false ~jobs:t.cfg.jobs
+            (List.map snd missing)
         in
         List.map2
           (fun (key, _) ix ->
@@ -202,6 +203,21 @@ let obtain t cbs =
 let obtain_ix t cbs =
   let rs, warm = obtain t cbs in
   (List.map (fun r -> r.ix) rs, warm)
+
+(* One resident codebase with the interpreter's coverage and verdict:
+   the run record is read from the index cache or computed into it, and
+   the completed entry replaces the run-less one in the LRU (same
+   payload, so the same budget charge). [warm] additionally requires
+   that the run was already resident. *)
+let obtain_run t cb =
+  match obtain t [ cb ] with
+  | [ r ], warm when r.ix.Pipeline.ix_verification <> None -> (r, warm)
+  | [ r ], _ ->
+      let ix = Index_engine.with_run cb r.ix in
+      let r = { r with ix; index_text = lazy (render_index ix) } in
+      Lru.add t.lru ix.Pipeline.ix_key r;
+      (r, false)
+  | _ -> assert false
 
 (* --- renderers (the CLI's exact output) --- *)
 
@@ -412,8 +428,8 @@ let evaluate t req =
           | None -> unknown_model app model
           | Some cb ->
               with_installed t (fun () ->
-                  let rs, warm = obtain t [ cb ] in
-                  output "index" warm (Lazy.force (List.hd rs).index_text)))
+                  let r, warm = obtain_run t cb in
+                  output "index" warm (Lazy.force r.index_text)))
   | Protocol.Compare { app; base; target } ->
       with_app app (fun cbs ->
           match

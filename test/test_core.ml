@@ -390,10 +390,12 @@ let test_engine_warm_cache () =
   let cache = Index_cache.create () in
   with_cache (Some cache) (fun () ->
       check_identical "cold" reference (Index_engine.index_many ~jobs:1 cbs);
-      checki "all misses recorded" (List.length cbs) (Index_cache.size cache);
+      checki "all misses recorded, trees and run" (2 * List.length cbs)
+        (Index_cache.size cache);
       let hits_before = Index_cache.hits cache in
       check_identical "warm" reference (Index_engine.index_many ~jobs:1 cbs);
-      checki "all hits" (hits_before + List.length cbs) (Index_cache.hits cache));
+      checki "all hits, trees and run" (hits_before + (2 * List.length cbs))
+        (Index_cache.hits cache));
   (* the persisted cache serves an identical warm run in a fresh table *)
   let reloaded =
     match Index_cache.load (Index_cache.save cache) with
@@ -403,14 +405,104 @@ let test_engine_warm_cache () =
   with_cache (Some reloaded) (fun () ->
       check_identical "warm from disk" reference
         (Index_engine.index_many ~jobs:1 cbs);
-      checki "no recompute" (List.length cbs) (Index_cache.hits reloaded))
+      checki "no recompute" (2 * List.length cbs) (Index_cache.hits reloaded))
+
+(* The two records: a trees-only indexing stores trees alone; a later
+   run reuses them, interprets each codebase once and stores its run
+   record; a third indexing is all hits and equals a fresh index. *)
+let test_engine_run_on_demand () =
+  let cbs = engine_corpus () in
+  let n = List.length cbs in
+  let cache = Index_cache.create () in
+  with_cache (Some cache) (fun () ->
+      let trees_only = Index_engine.index_many ~run:false ~jobs:1 cbs in
+      checkb "no run without asking" true
+        (List.for_all
+           (fun (ix : Pipeline.indexed) ->
+             ix.Pipeline.ix_coverage = None && ix.Pipeline.ix_verification = None)
+           trees_only);
+      checki "trees records only" n (Index_cache.size cache);
+      let hits = Index_cache.hits cache and misses = Index_cache.misses cache in
+      ignore (Index_engine.index_many ~jobs:1 cbs);
+      checki "every trees record hits" (hits + n) (Index_cache.hits cache);
+      checki "every run record misses once" (misses + n) (Index_cache.misses cache);
+      checki "run records stored" (2 * n) (Index_cache.size cache);
+      let hits = Index_cache.hits cache and misses = Index_cache.misses cache in
+      let third = Index_engine.index_many ~jobs:1 cbs in
+      checki "both records hit" (hits + (2 * n)) (Index_cache.hits cache);
+      checki "nothing interpreted" misses (Index_cache.misses cache);
+      List.iter2
+        (fun cb (ix : Pipeline.indexed) ->
+          let fresh = Pipeline.index cb in
+          checkb (ix.Pipeline.ix_model ^ " verdict equals a fresh index") true
+            (ix.Pipeline.ix_verification = fresh.Pipeline.ix_verification);
+          checkb (ix.Pipeline.ix_model ^ " coverage equals a fresh index") true
+            (Option.map Sv_util.Coverage.dump ix.Pipeline.ix_coverage
+            = Option.map Sv_util.Coverage.dump fresh.Pipeline.ix_coverage))
+        cbs third)
+
+(* A run-less index has no coverage: a +cov tree of it is an error, not
+   the unmasked tree, so the divergence memo never stores a +cov cell
+   computed without coverage. *)
+let test_coverage_needs_run () =
+  let cbs = Sv_corpus.Babelstream.all () in
+  let a = Pipeline.index ~run:false (List.nth cbs 0)
+  and b = Pipeline.index ~run:false (List.nth cbs 7) in
+  let u = List.hd a.Pipeline.ix_units in
+  checkb "unit_tree +cov raises" true
+    (match Pipeline.unit_tree ~metric:`TSem ~coverage:true a u with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Tbmd.clear_memo ();
+  checkb "raw +cov divergence raises" true
+    (match Tbmd.raw_divergence ~variant:Tbmd.Cov Tbmd.TSem a b with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  let a' = Pipeline.index (List.nth cbs 0) and b' = Pipeline.index (List.nth cbs 7) in
+  checkb "same content keys" true
+    (a'.Pipeline.ix_key = a.Pipeline.ix_key && b'.Pipeline.ix_key = b.Pipeline.ix_key);
+  let memoised = Tbmd.raw_divergence ~variant:Tbmd.Cov Tbmd.TSem a' b' in
+  Tbmd.clear_memo ();
+  checkb "+cov cell is the masked distance" true
+    (memoised = Tbmd.raw_divergence ~variant:Tbmd.Cov Tbmd.TSem a' b');
+  checkb "masking changes this cell" true
+    (memoised <> Tbmd.raw_divergence Tbmd.TSem a' b')
+
+let sv_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/sv.exe"
+
+(* `sv compare` reads trees only, so its index cache holds no run record. *)
+let test_cli_trees_only () =
+  let path = Filename.temp_file "sv_index" ".cache" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let args =
+    [ "compare"; "-a"; "babelstream"; "-b"; "serial"; "-t"; "kokkos"; "-j"; "1";
+      "--index-cache"; path ]
+  in
+  let pid =
+    Unix.create_process sv_exe (Array.of_list (sv_exe :: args)) Unix.stdin devnull
+      devnull
+  in
+  Unix.close devnull;
+  checkb "sv compare exits 0" true (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+  let cache = Index_cache.load_file path in
+  checki "two trees records" 2 (Index_cache.size cache);
+  List.iter
+    (fun model ->
+      let cb = Option.get (Sv_core.Apps.find_codebase ~app:"babelstream"
+                             (Sv_corpus.Babelstream.all ()) model) in
+      let key = Pipeline.codebase_key cb in
+      checkb (model ^ " trees record") true (Index_cache.find cache key <> None);
+      checkb (model ^ " no run record") true
+        (Index_cache.find cache (Index_engine.run_key key) = None))
+    [ "serial"; "kokkos" ]
 
 let test_engine_key_invalidation () =
   let cb = List.hd (Sv_corpus.Babelstream.all ()) in
-  let k = Pipeline.codebase_key ~run:true cb in
+  let k = Pipeline.codebase_key cb in
   let change name cb' =
-    checkb (name ^ " changes the key") true
-      (Pipeline.codebase_key ~run:true cb' <> k)
+    checkb (name ^ " changes the key") true (Pipeline.codebase_key cb' <> k)
   in
   change "editing a source file"
     { cb with
@@ -421,10 +513,11 @@ let test_engine_key_invalidation () =
   change "adding a define"
     { cb with Sv_corpus.Emit.defines = ("EXTRA", "1") :: cb.Sv_corpus.Emit.defines };
   change "switching dialect" { cb with Sv_corpus.Emit.lang = `F };
-  checkb "disabling the run changes the key" true
-    (Pipeline.codebase_key ~run:false cb <> k);
-  checkb "same codebase, same key" true
-    (Pipeline.codebase_key ~run:true cb = k)
+  checkb "the run record has its own key" true (Index_engine.run_key k <> k);
+  checkb "with or without a run, one content key" true
+    ((Pipeline.index ~run:false cb).Pipeline.ix_key = k
+    && (Pipeline.index cb).Pipeline.ix_key = k);
+  checkb "same codebase, same key" true (Pipeline.codebase_key cb = k)
 
 let test_engine_corrupt_payload_recomputes () =
   (* an undecodable payload under the right key is treated as a miss and
@@ -432,7 +525,9 @@ let test_engine_corrupt_payload_recomputes () =
   let cb = List.hd (Sv_corpus.Babelstream.all ()) in
   let reference = Pipeline.index cb in
   let cache = Index_cache.create () in
-  Index_cache.add cache (Pipeline.codebase_key ~run:true cb) "garbage";
+  let key = Pipeline.codebase_key cb in
+  Index_cache.add cache key "garbage";
+  Index_cache.add cache (Index_engine.run_key key) "garbage";
   with_cache (Some cache) (fun () ->
       checkb "recomputed identically" true
         (ix_fingerprint (Index_engine.index ~jobs:1 cb) = ix_fingerprint reference))
@@ -779,6 +874,9 @@ let () =
             test_engine_parallel_unit_grain;
           Alcotest.test_case "warm cache identical" `Quick test_engine_warm_cache;
           Alcotest.test_case "key invalidation" `Quick test_engine_key_invalidation;
+          Alcotest.test_case "run record on demand" `Quick test_engine_run_on_demand;
+          Alcotest.test_case "+cov needs a run" `Quick test_coverage_needs_run;
+          Alcotest.test_case "trees-only CLI stores no run" `Quick test_cli_trees_only;
           Alcotest.test_case "corrupt payload recomputes" `Quick
             test_engine_corrupt_payload_recomputes;
         ] );
