@@ -127,11 +127,34 @@ let engine_metric_cache : Sv_db.Metric_cache.cache option ref = ref None
 let set_metric_cache c = engine_metric_cache := c
 let metric_cache () = !engine_metric_cache
 
+(* [Ted_cache.digest] strips locations, encodes and hashes a whole tree.
+   A matrix hands the same tree values to n - 1 pairs, and a resident
+   daemon to every request, so the digest is memoised per tree value:
+   keyed by physical identity (a [Hashtbl.hash] probe, where re-interning
+   the tree to find its canonical id costs more than the digest itself),
+   with weak keys, so a memo entry lives no longer than its tree. *)
+module Digest_memo = Ephemeron.K1.Make (struct
+  type t = Sv_tree.Label.tree
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let digest_memo = Digest_memo.create 256
+
+let ted_digest t =
+  match Digest_memo.find_opt digest_memo t with
+  | Some d -> d
+  | None ->
+      let d = Db.Ted_cache.digest t in
+      Digest_memo.add digest_memo t d;
+      d
+
 let ted_distance t1 t2 =
   match !engine_cache with
   | None -> Div.tree_distance t1 t2
   | Some c -> (
-      let da = Db.Ted_cache.digest t1 and db = Db.Ted_cache.digest t2 in
+      let da = ted_digest t1 and db = ted_digest t2 in
       match Db.Ted_cache.find c da db with
       | Some d -> d
       | None ->

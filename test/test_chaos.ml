@@ -516,6 +516,38 @@ let test_cli_old_format () =
   checkb "the new file loads strictly" true
     (Result.is_ok (Ted_cache.load (read_file ted)))
 
+(* An index-cache file written at pipeline version 2 (one record per
+   codebase, the interpreter's results inside it, the run flag in the
+   key) is a cold start: the CLI prints what it prints over no file, and
+   the file is rewritten at the current version. The stale file here
+   even holds current-format payloads under the current keys; its
+   schema alone turns them away. *)
+let test_cli_index_version_2 () =
+  with_temp @@ fun ted ->
+  with_temp @@ fun index ->
+  Sys.remove ted;
+  Sys.remove index;
+  let _, fresh = run_sv (compare_args ~ted ~index) in
+  let current = Index_cache.load_file index in
+  checki "a fresh run stores two trees records" 2 (Index_cache.size current);
+  let cbs = Option.get (Sv_core.Apps.corpus_of_app "babelstream-f") in
+  let v2 = Sv_db.Store.create ~kind:'I' ~schema:2 in
+  List.iter
+    (fun model ->
+      let cb = Option.get (Sv_core.Apps.find_codebase ~app:"babelstream-f" cbs model) in
+      let key = Pipeline.codebase_key cb in
+      ignore (Sv_db.Store.add v2 key (Option.get (Index_cache.find current key))))
+    [ "sequential"; "omp" ];
+  Sys.remove ted;
+  Sys.remove index;
+  Sv_db.Store.save_file index v2;
+  checki "version 2 loads empty" 0 (Index_cache.size (Index_cache.load_file index));
+  let status, out = run_sv (compare_args ~ted ~index) in
+  checki "exits 0" 0 status;
+  Alcotest.(check string) "same bytes as over no file" fresh out;
+  checkb "rewritten at the current version" true
+    (Result.is_ok (Index_cache.load (read_file index)))
+
 (* A cache whose svz length header claims about 2^55 bytes is a cold
    start, not an out-of-memory crash. *)
 let test_cli_damaged_length_header () =
@@ -567,6 +599,8 @@ let () =
           Alcotest.test_case "two concurrent writers" `Slow test_store_two_writers;
           Alcotest.test_case "all-hit run writes nothing" `Slow test_cli_noop_run;
           Alcotest.test_case "old format replaced" `Slow test_cli_old_format;
+          Alcotest.test_case "index cache version 2 is a cold start" `Slow
+            test_cli_index_version_2;
           Alcotest.test_case "damaged length header" `Slow
             test_cli_damaged_length_header;
         ] );

@@ -604,7 +604,24 @@ let test_generated_matrix_identical () =
   checkb "pooled matrix over a cold cache identical" true
     (matrix ~jobs:2 ~cache:(Some cache) = serial);
   checkb "warm-cache matrix identical" true
-    (matrix ~jobs:1 ~cache:(Some cache) = serial)
+    (matrix ~jobs:1 ~cache:(Some cache) = serial);
+  (* every entry sits under the trees' fresh digests: the per-tree digest
+     memo hands out the keys [Ted_cache.digest] would *)
+  let module Tc = Sv_db.Codebase_db.Ted_cache in
+  List.iteri
+    (fun i (a : Pipeline.indexed) ->
+      List.iteri
+        (fun j (b : Pipeline.indexed) ->
+          if i <> j then
+            List.iter2
+              (fun (u : Pipeline.unit_info) (v : Pipeline.unit_info) ->
+                let t1 = u.Pipeline.u_t_sem and t2 = v.Pipeline.u_t_sem in
+                if Tc.find cache (Tc.digest t1) (Tc.digest t2)
+                   <> Some (Sv_metrics.Divergence.tree_distance t1 t2)
+                then Alcotest.failf "pair %d,%d: no cache entry under its digests" i j)
+              a.Pipeline.ix_units b.Pipeline.ix_units)
+        ixs)
+    ixs
 
 (* grown kernel chains: small trees, so many exact queries stay cheap *)
 let grown_cbs () =
