@@ -219,8 +219,8 @@ let interpret (cb : Emit.codebase) =
   | `C ->
       (* every translation unit links into one program; the interpreter
          sees them all and enters main *)
-      let asts = List.map (c_unit_ast cb) (cb.Emit.main_file :: cb.Emit.extra_units) in
-      let o = Sv_interp.Interp_c.run asts in
+      let files = cb.Emit.main_file :: cb.Emit.extra_units in
+      let o = Sv_interp.Interp_c.run (List.map (c_unit_ast cb) files) in
       let ok =
         match o.Sv_interp.Interp_c.result with
         | Ok (Sv_interp.Interp_c.VInt 0) -> true
@@ -234,7 +234,8 @@ let interpret (cb : Emit.codebase) =
         } )
   | `F ->
       let file = cb.Emit.main_file in
-      let o = Sv_interp.Interp_f.run (Sv_lang_f.Parser.parse ~file (List.assoc file cb.Emit.files)) in
+      let ast = Sv_lang_f.Parser.parse ~file (List.assoc file cb.Emit.files) in
+      let o = Sv_interp.Interp_f.run ast in
       let passed =
         match o.Sv_interp.Interp_f.result with
         | Ok () ->
