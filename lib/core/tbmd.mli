@@ -40,7 +40,8 @@ val metric_of_string : string -> metric option
     worker pool ({!Sv_sched.Sched}) with deterministic reassembly — the
     matrix is identical to a serial run. With a persistent TED cache
     installed ([set_ted_cache]), every pairwise tree comparison first
-    consults the digest-keyed table; entries computed inside workers are
+    consults the digest-keyed table (each tree value is digested once
+    per process, not once per pair); entries computed inside workers are
     shipped back and merged, so the parent's cache warms up even in
     parallel runs. *)
 

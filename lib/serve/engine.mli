@@ -6,9 +6,12 @@
     - a size-bounded {!Sv_db.Lru} of decoded {!Sv_core.Pipeline.indexed}
       codebases, keyed by {!Sv_core.Pipeline.codebase_key} (so a
       corpus edit is a structural miss, never a stale hit), spilling
-      evicted entries into the index cache; each entry renders its
-      [index] reply ({!render_index}) at most once, on first request,
-      and drops it on eviction;
+      evicted entries into the index cache. Entries are indexed without
+      a run; the [index] verb, the one verb that reads the
+      interpreter's results, attaches them to its entry
+      ({!Sv_core.Index_engine.with_run}) and re-adds it. Each entry
+      renders its [index] reply ({!render_index}) at most once, on first
+      request, and drops it on eviction;
     - a resident {!Sv_db.Index_cache}, {!Sv_db.Codebase_db.Ted_cache}
       and {!Sv_db.Metric_cache}, loaded from disk at creation and
       persisted back periodically and at shutdown;
