@@ -1,4 +1,4 @@
-(** Tree-walking interpreter for MiniC.
+(** Resolve-then-run interpreter for MiniC.
 
     Serves two purposes from the paper's artifact appendix: it runs each
     mini-app's built-in verification ("each mini-app contains built-in
@@ -6,6 +6,15 @@
     profile that SilverVale's coverage variant consumes (§IV-D) — this
     container has no GCov/Clang coverage, so execution itself is the
     profiler.
+
+    A run first links the program's units, then compiles each function
+    the first time it is called: every variable becomes a frame slot,
+    every call is bound to its function or builtin, each statement gets
+    its line's coverage counter, and statements and expressions become
+    OCaml closures. A name that may or may not be bound when the code
+    runs (a lambda reading a variable its scope declares later, a global
+    before its initialiser ran) keeps a checked slot, so lookups see
+    exactly the bindings a direct walk of the AST would.
 
     Every dialect executes with serial semantics: OpenMP directives run
     their statement; CUDA/HIP launches iterate the grid with
