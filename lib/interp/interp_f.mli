@@ -1,10 +1,18 @@
-(** Tree-walking interpreter for MiniF.
+(** Resolve-then-run interpreter for MiniF.
 
     Executes the Fortran BabelStream family for verification and coverage
-    (the GCov stand-in of §IV-D). Semantics follow serial Fortran: arrays
-    are 1-based, whole-array expressions evaluate elementwise with scalar
-    broadcasting, [do concurrent] iterates in order, directive regions run
-    serially, and subroutine arguments pass by reference. *)
+    (the GCov stand-in of §IV-D). Each program unit compiles once per run,
+    on its first call: every name the unit can bind gets a frame slot,
+    calls bind to their subroutine or intrinsic, each statement gets its
+    line's coverage counter, and statements and expressions become OCaml
+    closures. Fortran binds names implicitly, so a slot stays empty until
+    its first assignment and every read checks it, exactly as a lookup in
+    a per-call table would.
+
+    Semantics follow serial Fortran: arrays are 1-based, whole-array
+    expressions evaluate elementwise with scalar broadcasting,
+    [do concurrent] iterates in order, directive regions run serially,
+    and subroutine arguments pass by reference. *)
 
 type value =
   | FUnit
