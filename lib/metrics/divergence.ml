@@ -31,16 +31,38 @@ let flat_of_id id view =
       Hashtbl.add flat_memo id f;
       f
 
+(* A matrix hands the same tree values to n - 1 pairs, and a resident
+   daemon to every request, so each tree's intern id and canonical view
+   are memoised per tree value: keyed by physical identity, with weak
+   keys, so an entry lives no longer than its tree. Interning walks and
+   hashes the whole tree; the memo probe hashes only its top. *)
+module Id_memo = Ephemeron.K1.Make (struct
+  type t = Label.tree
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let id_memo = Id_memo.create 256
+
+let canon_id t =
+  match Id_memo.find_opt id_memo t with
+  | Some iv -> iv
+  | None ->
+      let iv = Sv_tree.Hashcons.canon_id canonizer t in
+      Id_memo.add id_memo t iv;
+      iv
+
 let warm_flat t =
-  let id, view = Sv_tree.Hashcons.canon_id canonizer t in
+  let id, view = canon_id t in
   ignore (flat_of_id id view)
 
 (* Every distinct canonical tree is compiled once into Flat's contiguous
    arrays (memoised above by intern id) and compared by the
    allocation-free flat kernel. *)
 let tree_distance t1 t2 =
-  let id1, v1 = Sv_tree.Hashcons.canon_id canonizer t1 in
-  let id2, v2 = Sv_tree.Hashcons.canon_id canonizer t2 in
+  let id1, v1 = canon_id t1 in
+  let id2, v2 = canon_id t2 in
   if id1 = id2 then begin
     let open Sv_perf.Telemetry in
     ted.equal_prunes <- ted.equal_prunes + 1;
