@@ -42,7 +42,7 @@ type indexed = {
    flip them independently. Whether the interpreter ran is not part of
    it: the interpreter's results are a separate record, keyed by
    [Index_engine] from this key. *)
-let codebase_key (cb : Emit.codebase) =
+let compute_codebase_key (cb : Emit.codebase) =
   let strs xs = M.Arr (List.map (fun s -> M.Str s) xs) in
   let source_digest =
     Digest.string
@@ -65,6 +65,29 @@ let codebase_key (cb : Emit.codebase) =
     ~defines:(List.map (fun (k, v) -> k ^ "=" ^ v) cb.Emit.defines)
     ~dialect:(match cb.Emit.lang with `C -> "minic" | `F -> "minif")
     ()
+
+(* The key encodes and digests every source of the codebase; a resident
+   daemon resolves the same codebase values on every request, so the key
+   is memoised per value: keyed by physical identity, with weak keys, so
+   an entry lives no longer than its codebase. *)
+module Key_memo = Ephemeron.K1.Make (struct
+  type t = Emit.codebase
+
+  let equal = ( == )
+
+  (* names only: a structural hash would read whole source files *)
+  let hash (cb : t) = Hashtbl.hash (cb.Emit.app, cb.Emit.model)
+end)
+
+let key_memo = Key_memo.create 64
+
+let codebase_key cb =
+  match Key_memo.find_opt key_memo cb with
+  | Some k -> k
+  | None ->
+      let k = compute_codebase_key cb in
+      Key_memo.add key_memo cb k;
+      k
 
 (* Prune every node located in a system header (§III-C: "those can simply
    be masked out during the analysis phase"). *)

@@ -1,12 +1,21 @@
 let names = [ "babelstream"; "babelstream-f"; "tealeaf"; "cloverleaf"; "minibude" ]
 
+(* Each corpus is emitted once per process: a resident daemon resolves
+   the app on every request, and the same codebase values let per-value
+   memos downstream (the index key) hit. *)
+let babelstream = lazy (Babelstream.all ())
+let babelstream_f = lazy (Babelstream_f.all ())
+let tealeaf = lazy (Tealeaf.all ())
+let cloverleaf = lazy (Cloverleaf.all ())
+let minibude = lazy (Minibude.all ())
+
 let corpus name =
   match String.lowercase_ascii name with
-  | "babelstream" -> Some (Babelstream.all ())
-  | "babelstream-f" | "babelstream-fortran" -> Some (Babelstream_f.all ())
-  | "tealeaf" -> Some (Tealeaf.all ())
-  | "cloverleaf" -> Some (Cloverleaf.all ())
-  | "minibude" -> Some (Minibude.all ())
+  | "babelstream" -> Some (Lazy.force babelstream)
+  | "babelstream-f" | "babelstream-fortran" -> Some (Lazy.force babelstream_f)
+  | "tealeaf" -> Some (Lazy.force tealeaf)
+  | "cloverleaf" -> Some (Lazy.force cloverleaf)
+  | "minibude" -> Some (Lazy.force minibude)
   | _ -> None
 
 let builder name =

@@ -10,7 +10,8 @@ val names : string list
 (** Canonical app names, ["babelstream"] first. *)
 
 val corpus : string -> Emit.codebase list option
-(** [corpus name] is the app's full bundled model set. *)
+(** [corpus name] is the app's full bundled model set, emitted once per
+    process: every call returns the same codebase values. *)
 
 val builder : string -> (model:string -> Emit.codebase option) option
 (** [builder name] is the app's on-demand single-model emitter, the

@@ -42,7 +42,9 @@ type variant = {
 (* Base corpora for mutation mode                                      *)
 
 let base_corpus = function
-  | "all" -> Sv_corpus.Babelstream.all () @ Sv_corpus.Babelstream_f.all ()
+  | "all" ->
+      Option.get (Sv_corpus.Registry.corpus "babelstream")
+      @ Option.get (Sv_corpus.Registry.corpus "babelstream-f")
   | name -> (
       match Sv_corpus.Registry.corpus name with
       | Some cbs -> cbs
