@@ -231,6 +231,104 @@ let test_coverage_skips_dead_branch () =
   checkb "dead line not covered" false
     (Coverage.covered o.Ic.coverage ~file:"t.cpp" ~line:3)
 
+(* --- outcomes pinned to the step ---
+
+   Each case fixes every field a run reports — result, output, steps and
+   per-line counts — so a change to how names, calls or statements are
+   dispatched cannot move a step or a count unnoticed. *)
+
+let error_of r =
+  match r with
+  | Error e -> e
+  | Ok _ -> Alcotest.fail "expected a runtime error"
+
+let count o line = Coverage.count o.Ic.coverage ~file:"t.cpp" ~line
+
+let budget_src =
+  "int main() {\n  int s = 0;\n  for (int i = 0; i < 100; i++) {\n    s += i;\n  }\n  return s;\n}\n"
+
+let test_budget_same_statement () =
+  let o = run_c ~max_steps:10 budget_src in
+  Alcotest.(check string)
+    "budget error names the statement"
+    "step budget exhausted (10) at t.cpp:4:6" (error_of o.Ic.result);
+  checki "steps stop one past the budget" 11 o.Ic.steps;
+  (* the statement that exhausts the budget is not counted *)
+  checki "loop body count" 7 (count o 4);
+  checki "for count" 2 (count o 3);
+  let full = run_c ~max_steps:104 budget_src in
+  checkb "a budget of exactly the run's steps suffices" true (full.Ic.result = Ok (Ic.VInt 4950));
+  checki "full run steps" 104 full.Ic.steps;
+  let short = run_c ~max_steps:103 budget_src in
+  Alcotest.(check string)
+    "one step short fails at the return" "step budget exhausted (103) at t.cpp:6:2"
+    (error_of short.Ic.result)
+
+let test_two_statements_one_line () =
+  let o =
+    run_c "int main() {\n  int a = 1; int b = 2;\n  a = a + b; b = b * a;\n  return a + b;\n}\n"
+  in
+  checkb "result" true (o.Ic.result = Ok (Ic.VInt 9));
+  checki "steps" 5 o.Ic.steps;
+  checki "both declarations count" 2 (count o 2);
+  checki "both assignments count" 2 (count o 3);
+  checki "return line" 1 (count o 4)
+
+let test_wtime_follows_steps () =
+  (* omp_get_wtime is a clock derived from the step counter (1 ns per
+     step), and reading it is itself a step *)
+  let o =
+    run_c
+      "int main() {\n  double t0 = omp_get_wtime();\n  int s = 0;\n  for (int i = 0; i < 10; i++) {\n    s += i;\n  }\n  double t1 = omp_get_wtime();\n  printf(\"%d %d %f\\n\", (int)(t0 * 1e9 + 0.5), (int)(t1 * 1e9 + 0.5), (t1 - t0) * 1e9);\n  return 0;\n}\n"
+  in
+  Alcotest.(check string) "clock readings" "2 17 15.000000\n" o.Ic.output;
+  checki "steps include the two clock reads" 19 o.Ic.steps
+
+let test_shadowing_and_block_scope () =
+  let o =
+    run_c
+      "int main() {\n  int x = 1;\n  { int x = 2; x = x + 10; }\n  for (int x = 5; x < 7; x++) { int y = x; x = y; }\n  if (x == 1) { int x = 3; }\n  return x;\n}\n"
+  in
+  checkb "outer binding survives inner ones" true (o.Ic.result = Ok (Ic.VInt 1));
+  checki "steps" 13 o.Ic.steps;
+  checki "for line" 6 (count o 4)
+
+let test_use_before_declaration () =
+  let o = run_c "int main() {\n  int a = 1;\n  a = a + 1;\n  b = 2;\n  int b = 3;\n  return b;\n}\n" in
+  Alcotest.(check string)
+    "assignment before the declaration" "assignment to unknown variable b at t.cpp:4:2"
+    (error_of o.Ic.result);
+  checki "raised at the third step" 3 o.Ic.steps;
+  let o = run_c "int main() {\n  int a = 1;\n  int c = a + d;\n  int d = 2;\n  return c;\n}\n" in
+  Alcotest.(check string)
+    "read before the declaration" "unknown name d at t.cpp:3:14" (error_of o.Ic.result);
+  checki "raised at the second step" 2 o.Ic.steps
+
+let test_lambda_captures_by_reference () =
+  (* the model bodies (Kokkos, SYCL, TBB, StdPar) are lambdas that update
+     enclosing variables; a lambda also sees a variable its enclosing
+     scope declares after the lambda, once that declaration has run *)
+  let o =
+    run_c
+      "int main() {\n  double sum = 0.0;\n  auto add = [&](int i) { sum += i; };\n  for (int i = 0; i < 4; i++) { add(i); }\n  auto later = [&]() { return w * 2; };\n  int w = 7;\n  return (int)sum + later();\n}\n"
+  in
+  checkb "sum and late binding" true (o.Ic.result = Ok (Ic.VInt 20));
+  checki "steps" 16 o.Ic.steps;
+  checki "lambda body line" 5 (count o 3)
+
+let test_fortran_budget_same_statement () =
+  let src =
+    "program p\n  integer :: i, s\n  s = 0\n  do i = 1, 100\n    s = s + i\n  end do\n  print *, s\nend program p\n"
+  in
+  let o = If_.run ~max_steps:10 (Sv_lang_f.Parser.parse ~file:"t.f90" src) in
+  checkb "budget error names the statement" true
+    (o.If_.result = Error "step budget exhausted (10) at t.f90:5:4");
+  checki "steps" 11 o.If_.steps;
+  checki "loop body count" 8 (Coverage.count o.If_.coverage ~file:"t.f90" ~line:5);
+  let full = If_.run (Sv_lang_f.Parser.parse ~file:"t.f90" src) in
+  checki "full run steps" 103 full.If_.steps;
+  Alcotest.(check string) "full run output" "5050\n" full.If_.output
+
 (* --- Fortran --- *)
 
 let run_f src = If_.run (Sv_lang_f.Parser.parse ~file:"t.f90" src)
@@ -350,6 +448,17 @@ let () =
         [
           Alcotest.test_case "records executed lines" `Quick test_coverage_records_executed;
           Alcotest.test_case "skips dead branches" `Quick test_coverage_skips_dead_branch;
+        ] );
+      ( "pinned-outcomes",
+        [
+          Alcotest.test_case "budget at the same statement" `Quick test_budget_same_statement;
+          Alcotest.test_case "two statements on one line" `Quick test_two_statements_one_line;
+          Alcotest.test_case "omp_get_wtime follows steps" `Quick test_wtime_follows_steps;
+          Alcotest.test_case "shadowing and block scope" `Quick test_shadowing_and_block_scope;
+          Alcotest.test_case "use before declaration" `Quick test_use_before_declaration;
+          Alcotest.test_case "lambda captures by reference" `Quick
+            test_lambda_captures_by_reference;
+          Alcotest.test_case "fortran budget" `Quick test_fortran_budget_same_statement;
         ] );
       ( "fortran",
         [
