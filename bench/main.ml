@@ -23,8 +23,8 @@ let section title =
 (* ------------------------------------------------------------------ *)
 
 (* Corpus indexing goes through the engine: SV_INDEX_CACHE persists
-   indexing results across bench invocations, SV_JOBS fans cold misses
-   over the worker pool. Neither changes a byte of any experiment. *)
+   indexing results across bench invocations without changing a byte of
+   any experiment. *)
 let () =
   match Sys.getenv_opt "SV_INDEX_CACHE" with
   | None -> ()
@@ -40,12 +40,7 @@ let () =
 
 let index_all name cbs =
   let t0 = Unix.gettimeofday () in
-  let jobs =
-    match Sys.getenv_opt "SV_JOBS" with
-    | Some _ -> Sv_sched.Sched.default_jobs ()
-    | None -> 1
-  in
-  let ixs = Sv_core.Index_engine.index_many ~jobs cbs in
+  let ixs = Sv_core.Index_engine.index_many cbs in
   Printf.eprintf "[bench] indexed %s (%d models) in %.1fs\n%!" name (List.length ixs)
     (Unix.gettimeofday () -. t0);
   ixs

@@ -133,8 +133,7 @@ let persist what path stats fresh save =
    the fault-injection spec, load/install the persistent TED and index
    caches, and on the way out persist the caches, report any recovery
    activity and reset both engines so one subcommand cannot leak state
-   into a later library use of Tbmd or Index_engine. [f] receives the
-   resolved worker count for the indexing fan-out. *)
+   into a later library use of Tbmd or Index_engine. *)
 let with_engine ?index_cache ?metric_cache ~jobs ~ted_cache ~fault f =
   let module F = Sv_sched.Sched.Fault in
   match
@@ -189,7 +188,7 @@ let with_engine ?index_cache ?metric_cache ~jobs ~ted_cache ~fault f =
         Tbmd.set_ted_cache None;
         Tbmd.set_jobs 1
       in
-      (match f jobs with
+      (match f () with
       | r ->
           finish ();
           r
@@ -267,14 +266,14 @@ let emit_cmd =
     Term.(ret (const run $ app_arg $ model_arg [ "model" ] "Model id." $ out))
 
 let index_cmd =
-  let run app model out jobs index_cache =
+  let run app model out index_cache =
     with_app app (fun cbs ->
         match find_codebase ~app cbs model with
         | None -> fail "app %s has no model %s" app model
         | Some cb ->
-            with_engine ?index_cache ~jobs ~ted_cache:None ~fault:None
-            @@ fun jobs ->
-            let ix = Sv_core.Index_engine.index ~jobs cb in
+            with_engine ?index_cache ~jobs:1 ~ted_cache:None ~fault:None
+            @@ fun () ->
+            let ix = Sv_core.Index_engine.index cb in
             let bytes = Sv_db.Codebase_db.save (Pipeline.to_db ix) in
             let oc = open_out_bin out in
             output_string oc bytes;
@@ -292,7 +291,7 @@ let index_cmd =
        ~doc:"Index one port (preprocess, parse, lower, run) and save its Codebase DB.")
     Term.(
       ret
-        (const run $ app_arg $ model_arg [ "model" ] "Model id." $ out $ jobs_arg
+        (const run $ app_arg $ model_arg [ "model" ] "Model id." $ out
         $ index_cache_arg))
 
 let inspect_cmd =
@@ -326,10 +325,10 @@ let compare_cmd =
     with_app app (fun cbs ->
         match (find_codebase ~app cbs base, find_codebase ~app cbs target) with
         | Some b, Some t ->
-            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun jobs ->
+            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun () ->
             if stats then Sv_perf.Telemetry.reset_ted ();
             let bix, tix =
-              match Sv_core.Index_engine.index_many ~run:false ~jobs [ b; t ] with
+              match Sv_core.Index_engine.index_many ~run:false [ b; t ] with
               | [ bix; tix ] -> (bix, tix)
               | _ -> assert false
             in
@@ -355,8 +354,8 @@ let cluster_cmd =
     | None -> fail "unknown metric %S" metric
     | Some m ->
         with_app app (fun cbs ->
-            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun jobs ->
-            let ixs = Sv_core.Index_engine.index_many ~run:false ~jobs cbs in
+            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun () ->
+            let ixs = Sv_core.Index_engine.index_many ~run:false cbs in
             print_string (Engine.render_cluster m ixs);
             `Ok ())
   in
@@ -389,8 +388,8 @@ let nearest_cmd =
               | Some cb ->
                   with_engine ?index_cache ?metric_cache ~jobs ~ted_cache
                     ~fault:None
-                  @@ fun jobs ->
-                  let ixs = Sv_core.Index_engine.index_many ~run:false ~jobs cbs in
+                  @@ fun () ->
+                  let ixs = Sv_core.Index_engine.index_many ~run:false cbs in
                   let qix = List.assq cb (List.combine cbs ixs) in
                   print_string
                     (Engine.render_nearest ~app ~model ~k ?budget ?epsilon m
@@ -431,7 +430,7 @@ let phi_cmd =
 let chart_cmd =
   let run app =
     with_app app (fun cbs ->
-        let ixs = Sv_core.Index_engine.index_many ~run:false ~jobs:1 cbs in
+        let ixs = Sv_core.Index_engine.index_many ~run:false cbs in
         match
           List.find_opt (fun (c : Pipeline.indexed) -> c.Pipeline.ix_model = "serial") ixs
         with
@@ -453,9 +452,9 @@ let chart_cmd =
     Term.(ret (const run $ app_arg))
 
 let verify_cmd =
-  let run app jobs index_cache =
+  let run app index_cache =
     with_app app (fun cbs ->
-        with_engine ?index_cache ~jobs ~ted_cache:None ~fault:None @@ fun jobs ->
+        with_engine ?index_cache ~jobs:1 ~ted_cache:None ~fault:None @@ fun () ->
         let all_ok = ref true in
         List.iter
           (fun (ix : Pipeline.indexed) ->
@@ -467,12 +466,12 @@ let verify_cmd =
             if not ok then all_ok := false;
             Printf.printf "  %-14s %s\n" ix.Pipeline.ix_model
               (if ok then "PASSED" else "FAILED"))
-          (Sv_core.Index_engine.index_many ~jobs cbs);
+          (Sv_core.Index_engine.index_many cbs);
         if !all_ok then `Ok () else fail "some ports failed verification")
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Run every port's built-in verification under the interpreter.")
-    Term.(ret (const run $ app_arg $ jobs_arg $ index_cache_arg))
+    Term.(ret (const run $ app_arg $ index_cache_arg))
 
 let gen_cmd =
   let run seed count mode base spec out list_variants diagnose =

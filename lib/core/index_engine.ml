@@ -2,7 +2,6 @@ module M = Sv_msgpack.Msgpack
 module Emit = Sv_corpus.Emit
 module Coverage = Sv_util.Coverage
 module Index_cache = Sv_db.Index_cache
-module Sched = Sv_sched.Sched
 
 (* --- engine-wide cache ----------------------------------------------- *)
 
@@ -231,189 +230,39 @@ let with_run cb (ix : Pipeline.indexed) =
             add_run c ix.ix_key r;
             Pipeline.with_run ix r)
 
-(* Ship one indexed codebase (or a chunk of them) across the worker pipe:
-   its trees and, when the worker ran the interpreter, its run. *)
-let encode_indexed_list ixs =
-  M.Arr
-    (List.map
-       (fun ix ->
-         M.Arr
-           [
-             indexed_to_msgpack ix;
-             (match run_of ix with Some r -> run_to_msgpack r | None -> M.Nil);
-           ])
-       ixs)
-
-let decode_indexed_list = function
-  | M.Arr vs ->
-      List.map
-        (fun v ->
-          let decoded =
-            match v with
-            | M.Arr [ trees; M.Nil ] -> indexed_of_msgpack trees
-            | M.Arr [ trees; run ] ->
-                let* ix = indexed_of_msgpack trees in
-                Result.map (Pipeline.with_run ix) (run_of_msgpack run)
-            | _ -> Error "malformed entry"
-          in
-          match decoded with
-          | Ok ix -> ix
-          | Error e -> failwith ("index worker frame: " ^ e))
-        vs
-  | _ -> failwith "index worker frame: not an array"
-
-(* --- fan-out grain ---------------------------------------------------- *)
-
-(* Forked indexing ships every result back as a msgpack frame the parent
-   must decode — work proportional to the payload, which is itself
-   proportional to the source text. For small translation units that
-   decode (plus fork/pipe overhead) costs more than indexing outright:
-   the PR 8 corpus study measured jobs=2 indexing of 1000 generated
-   single-unit codebases at 4.5× the serial wall. So the codebase-grain
-   fan-out only engages when the average source size of the missing
-   codebases clears a floor; below it the serial loop is the fast path,
-   not a fallback. An explicit [?chunk] argument bypasses the heuristic
-   (the caller is asking for the parallel shape, e.g. conformance
-   tests). *)
-let default_grain_bytes = 16384
-
-let source_bytes (cb : Emit.codebase) =
-  List.fold_left (fun acc (_, c) -> acc + String.length c) 0 cb.Emit.files
-
-type grain = [ `Serial | `Codebase | `Unit ]
-
-let plan_grain ~jobs ?chunk (misses : Emit.codebase list) : grain =
-  let nmiss = List.length misses in
-  if jobs <= 1 || nmiss <= 1 then `Serial
-  else if nmiss >= jobs then
-    if chunk <> None then `Codebase
-    else begin
-      let total = List.fold_left (fun acc cb -> acc + source_bytes cb) 0 misses in
-      if total / nmiss < default_grain_bytes then `Serial else `Codebase
-    end
-  else `Unit
-
-let index_many ?(run = true) ?jobs ?chunk (cbs : Emit.codebase list) =
-  let jobs = match jobs with Some j -> j | None -> Sched.default_jobs () in
-  let cbs = Array.of_list cbs in
-  let n = Array.length cbs in
-  let out : Pipeline.indexed option array = Array.make n None in
-  (* trees probe *)
-  (match !cache_ref with
-  | None -> ()
-  | Some c ->
-      Array.iteri
-        (fun i cb ->
-          out.(i) <-
+let index_many ?(run = true) ?jobs:_ (cbs : Emit.codebase list) =
+  (* every trees record is probed before any miss is indexed, and the
+     hits' run records are read last, so the cache sees its finds and
+     adds in one fixed order *)
+  let probed =
+    List.map
+      (fun cb ->
+        match !cache_ref with
+        | None -> None
+        | Some c ->
             Option.bind
               (Index_cache.find c (Pipeline.codebase_key cb))
               (decode_with indexed_of_msgpack))
-        cbs);
-  let misses =
-    Array.to_list (Array.mapi (fun i cb -> (i, cb)) cbs)
-    |> List.filter (fun (i, _) -> out.(i) = None)
+      cbs
   in
-  let record i ix =
-    out.(i) <- Some ix;
-    store ix
+  let indexed =
+    List.map2
+      (fun cb -> function
+        | Some ix -> `Hit ix
+        | None ->
+            let ix = Pipeline.index ~run cb in
+            store ix;
+            `Fresh ix)
+      cbs probed
   in
-  let nmiss = List.length misses in
-  if nmiss > 0 then begin
-    match plan_grain ~jobs ?chunk (List.map snd misses) with
-    | `Serial ->
-        (* the serial reference path: single miss, jobs=1, or misses too
-           small for the fan-out to beat its own IPC *)
-        List.iter (fun (i, cb) -> record i (Pipeline.index ~run cb)) misses
-    | `Codebase -> begin
-      (* whole-codebase grain: enough misses to keep every worker busy.
-         Chunked submission amortises fork/pipe overhead; results are
-         reassembled by chunk index, so order — hence output — matches
-         the serial path byte for byte. Asked for a run, each worker
-         interprets the codebases it indexes, so runs go parallel too. *)
-      let chunk =
-        match chunk with
-        | Some c -> max 1 c
-        | None -> max 1 (nmiss / (2 * jobs))
-      in
-      let miss_arr = Array.of_list misses in
-      let tasks =
-        Array.init
-          ((nmiss + chunk - 1) / chunk)
-          (fun t ->
-            Array.to_list (Array.sub miss_arr (t * chunk)
-                             (min chunk (nmiss - (t * chunk)))))
-      in
-      let results =
-        Sched.map
-          ~jobs
-          ~encode:encode_indexed_list
-          ~decode:decode_indexed_list
-          ~f:(fun chunk -> List.map (fun (_, cb) -> Pipeline.index ~run cb) chunk)
-          tasks
-      in
-      Array.iteri
-        (fun t ixs ->
-          List.iter2 (fun (i, _) ix -> record i ix) tasks.(t) ixs)
-        results
-    end
-    | `Unit -> begin
-      (* unit grain: fewer codebases than workers, so split MiniC
-         codebases into per-unit tasks and let the parent reassemble via
-         the [unit_indexer] hook (and interpret in-process when asked —
-         the run needs the whole linked program, not one unit). MiniF
-         codebases are single-unit: they stay serial. *)
-      let c_misses = List.filter (fun (_, cb) -> cb.Emit.lang = `C) misses in
-      let f_misses = List.filter (fun (_, cb) -> cb.Emit.lang = `F) misses in
-      let tasks =
-        Array.of_list
-          (List.concat_map
-             (fun (i, cb) ->
-               List.map
-                 (fun file -> (i, file))
-                 (cb.Emit.main_file :: cb.Emit.extra_units))
-             c_misses)
-      in
-      let results =
-        Sched.map
-          ~jobs
-          ~encode:unit_info_to_msgpack
-          ~decode:(fun v ->
-            match unit_info_of_msgpack v with
-            | Ok u -> u
-            | Error e -> failwith ("index worker frame: " ^ e))
-          ~f:(fun (i, file) -> Pipeline.index_c_unit_info cbs.(i) file)
-          tasks
-      in
-      let by_key = Hashtbl.create 64 in
-      Array.iteri (fun t u -> Hashtbl.replace by_key tasks.(t) u) results;
-      List.iter
-        (fun (i, cb) ->
-          let unit_indexer files =
-            List.map
-              (fun file ->
-                match Hashtbl.find_opt by_key (i, file) with
-                | Some u -> u
-                | None -> Pipeline.index_c_unit_info cb file)
-              files
-          in
-          record i (Pipeline.index ~run ~unit_indexer cb))
-        c_misses;
-      List.iter (fun (i, cb) -> record i (Pipeline.index ~run cb)) f_misses
-    end
-  end;
-  (* a trees hit asked for a run reads or computes its run record *)
-  Array.to_list
-    (Array.mapi
-       (fun i ix ->
-         match ix with
-         | Some ix -> if run then with_run cbs.(i) ix else ix
-         | None -> assert false (* every index is a hit or a recorded miss *))
-       out)
+  List.map2
+    (fun cb -> function
+      | `Hit ix -> if run then with_run cb ix else ix
+      | `Fresh ix -> ix)
+    cbs indexed
 
-let index ?run ?jobs ?chunk cb =
-  match index_many ?run ?jobs ?chunk [ cb ] with
-  | [ ix ] -> ix
-  | _ -> assert false
+let index ?run ?jobs:_ cb =
+  match index_many ?run [ cb ] with [ ix ] -> ix | _ -> assert false
 
 (* --- TED warm-up ------------------------------------------------------ *)
 

@@ -1,16 +1,9 @@
-(** The indexing engine: parallel, cache-aware front-end driving
+(** The indexing engine: cache-aware front-end driving
     {!Pipeline.index}.
 
-    Three coordinated layers make re-indexing cheap while leaving the
-    answers untouched:
+    Two layers make re-indexing cheap while leaving the answers
+    untouched:
 
-    - {b Parallel front-end.} Misses are fanned over the {!Sv_sched}
-      fork/pipe pool — whole codebases in chunks when there are at least
-      as many misses as workers, per-unit jobs (stitched back through
-      {!Pipeline.index}'s [unit_indexer] hook) when codebases are scarce.
-      Results are reassembled in input order, so output is byte-identical
-      to the serial path; the pool's timeout/retry/degradation machinery
-      applies unchanged.
     - {b Persistent cache.} When a {!Sv_db.Index_cache} is installed
       ({!set_cache}; the CLI's [--index-cache] / [SV_INDEX_CACHE]),
       each codebase has two records in it. The {e trees record}, under
@@ -31,56 +24,37 @@ val set_cache : Sv_db.Index_cache.cache option -> unit
 
 val cache : unit -> Sv_db.Index_cache.cache option
 
-type grain = [ `Serial | `Codebase | `Unit ]
-(** How a batch of cache misses is executed: in-process, fanned out at
-    whole-codebase grain, or fanned out per translation unit. *)
-
-val plan_grain :
-  jobs:int -> ?chunk:int -> Sv_corpus.Emit.codebase list -> grain
-(** The grain {!index_many} will pick for the given {e missing}
-    codebases. Serial when [jobs <= 1] or a single miss — and also when
-    there are enough misses for the codebase-grain fan-out but their
-    average source size is below the IPC floor (16 KiB): shipping a
-    fully indexed small codebase through the fork pipe and decoding it
-    in the parent costs more than indexing it in-process (the PR 8 corpus-study
-    regression, jobs=2 at 4.5× serial on 1000 tiny generated units). An
-    explicit [?chunk] bypasses the floor — the caller is asking for the
-    parallel shape. Exposed so benches and tests can assert which path a
-    corpus takes. *)
-
 val index :
   ?run:bool ->
   ?jobs:int ->
-  ?chunk:int ->
   Sv_corpus.Emit.codebase ->
   Pipeline.indexed
-(** Cache-aware {!Pipeline.index} ([run] defaults to [true]). *)
+(** Cache-aware {!Pipeline.index} of one codebase: {!index_many} of a
+    one-element batch. *)
 
 val index_many :
   ?run:bool ->
   ?jobs:int ->
-  ?chunk:int ->
   Sv_corpus.Emit.codebase list ->
   Pipeline.indexed list
 (** [index_many cbs] indexes a batch, in order. Trees records found in
     the cache are served directly (an undecodable payload counts as a
-    miss, never an error); misses run at the grain {!plan_grain} picks —
-    serially, in the worker pool at whole-codebase grain (submission
-    chunk [?chunk], default [max 1 (misses / (2 * jobs))]), or at unit
-    grain when misses are scarcer than workers. Every freshly computed
-    result is added to the installed cache.
+    miss, never an error); each miss is indexed in-process by
+    {!Pipeline.index} and added to the installed cache.
 
     With [~run:true] (the default) every result also carries the
     interpreter's coverage and verdict. A trees miss is interpreted
-    where its trees are built (in the worker at codebase grain, in the
-    parent otherwise); a trees hit reads its run record, or interprets
-    in the parent and stores one ({!with_run}). With [~run:false]
-    nothing is interpreted and [ix_coverage]/[ix_verification] are
-    [None].
+    where its trees are built; a trees hit reads its run record, or
+    interprets and stores one ({!with_run}). With [~run:false] nothing
+    is interpreted and [ix_coverage]/[ix_verification] are [None].
 
-    [jobs] defaults to {!Sv_sched.Sched.default_jobs}. The result is
-    byte-identical to [List.map (Pipeline.index ~run) cbs] in all
-    configurations. *)
+    The result is byte-identical to [List.map (Pipeline.index ~run) cbs].
+
+    [?jobs] is accepted and ignored. Indexing is serial: fanning misses
+    over forked workers was slower than indexing them in-process on
+    every bundled app and generated corpus, since each result had to be
+    encoded, piped and decoded again. The argument stays only because
+    [perfbench/probe.ml] still passes [~jobs:1]. *)
 
 val with_run : Sv_corpus.Emit.codebase -> Pipeline.indexed -> Pipeline.indexed
 (** [with_run cb ix] is [ix] (an index of [cb]) with the interpreter's
@@ -114,8 +88,3 @@ val indexed_of_msgpack :
   Sv_msgpack.Msgpack.t -> (Pipeline.indexed, string) Result.t
 (** Inverse of {!indexed_to_msgpack} up to the per-process mask memo
     (rebuilt empty); the result carries no run. *)
-
-val unit_info_to_msgpack : Pipeline.unit_info -> Sv_msgpack.Msgpack.t
-
-val unit_info_of_msgpack :
-  Sv_msgpack.Msgpack.t -> (Pipeline.unit_info, string) Result.t

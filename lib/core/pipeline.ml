@@ -193,12 +193,6 @@ let c_unit_ast cb file =
   let _, _, pp = preprocess cb file in
   Sv_lang_c.Parser.parse_tokens ~file pp.Sv_lang_c.Preproc.tokens
 
-let index_c ?unit_indexer (cb : Emit.codebase) =
-  let files = cb.Emit.main_file :: cb.Emit.extra_units in
-  match unit_indexer with
-  | None -> List.map (index_c_unit_info cb) files
-  | Some indexer -> indexer files
-
 let index_f (cb : Emit.codebase) =
   let file = cb.Emit.main_file in
   let src = List.assoc file cb.Emit.files in
@@ -235,8 +229,8 @@ let index_f (cb : Emit.codebase) =
 
 (* The one place the interpreter runs. The sources are parsed again here
    rather than shared with the tree builders, so indexing that never
-   asks for a run never pays for one, and units indexed elsewhere (a
-   worker, the cache) need nothing shipped back but their trees. *)
+   asks for a run never pays for one, and trees served from the index
+   cache need no AST kept beside them. *)
 let interpret (cb : Emit.codebase) =
   match cb.Emit.lang with
   | `C ->
@@ -280,7 +274,7 @@ let interpret (cb : Emit.codebase) =
 let with_run ix (coverage, verification) =
   { ix with ix_coverage = Some coverage; ix_verification = Some verification }
 
-let index ?(run = true) ?unit_indexer (cb : Emit.codebase) =
+let index ?(run = true) (cb : Emit.codebase) =
   let ix =
     {
       ix_app = cb.Emit.app;
@@ -289,7 +283,9 @@ let index ?(run = true) ?unit_indexer (cb : Emit.codebase) =
       ix_lang = cb.Emit.lang;
       ix_units =
         (match cb.Emit.lang with
-        | `C -> index_c ?unit_indexer cb
+        | `C ->
+            List.map (index_c_unit_info cb)
+              (cb.Emit.main_file :: cb.Emit.extra_units)
         | `F -> index_f cb);
       ix_coverage = None;
       ix_verification = None;

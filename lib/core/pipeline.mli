@@ -72,21 +72,11 @@ val codebase_key : Sv_corpus.Emit.codebase -> string
     counts, and {!Index_engine} derives the key of the interpreter's
     record from it. *)
 
-val index :
-  ?run:bool ->
-  ?unit_indexer:(string list -> unit_info list) ->
-  Sv_corpus.Emit.codebase ->
-  indexed
-(** [index cb] runs the front-end; with [~run:true] (default) it also
-    calls {!interpret} for verification + coverage, and with
-    [~run:false] [ix_coverage] and [ix_verification] are [None].
-
-    [?unit_indexer], given the unit file list (main first), supplies the
-    per-unit results instead of the serial {!index_c_unit_info} map — the
-    hook through which {!Index_engine} injects worker-computed units.
-    Only consulted for MiniC codebases. The hook must return exactly
-    what [List.map (index_c_unit_info cb) files] would, or the
-    byte-identity guarantee is the caller's loss. *)
+val index : ?run:bool -> Sv_corpus.Emit.codebase -> indexed
+(** [index cb] runs the front-end over every unit of [cb], main unit
+    first; with [~run:true] (default) it also calls {!interpret} for
+    verification + coverage, and with [~run:false] [ix_coverage] and
+    [ix_verification] are [None]. *)
 
 val interpret :
   Sv_corpus.Emit.codebase -> Sv_util.Coverage.t * verification
@@ -97,10 +87,6 @@ val interpret :
 
 val with_run : indexed -> Sv_util.Coverage.t * verification -> indexed
 (** [with_run ix r] is [ix] carrying [r] as its coverage and verdict. *)
-
-val index_c_unit_info : Sv_corpus.Emit.codebase -> string -> unit_info
-(** One MiniC translation unit through every front-end stage — the
-    work item the parallel engine fans out. *)
 
 val c_unit_ast : Sv_corpus.Emit.codebase -> string -> Sv_lang_c.Ast.tunit
 (** Preprocess + parse only (no trees, IR or counts): one unit of the

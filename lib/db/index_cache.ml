@@ -48,11 +48,6 @@ let valid_entry k payload = String.length k = 16 && String.length payload > 0
 let add c k payload =
   if valid_entry k payload then ignore (Store.add c.store k payload)
 
-(* Same defensive posture as [Ted_cache.merge]: entries may arrive from a
-   faulted worker pipe or a twice-shipped degraded batch, so malformed
-   ones are dropped and existing keys are never overwritten — merging the
-   same batch twice is a no-op. *)
-let merge c entries = List.iter (fun (k, payload) -> add c k payload) entries
 let size c = Store.size c.store
 let pending c = Store.pending c.store
 let hits c = c.hits

@@ -52,11 +52,6 @@ val add : cache -> string -> string -> unit
     bytes, empty payload) are dropped and an existing key is never
     overwritten. *)
 
-val merge : cache -> (string * string) list -> unit
-(** Fold entries from another process or file into the table, with the
-    same defensive rules as {!Codebase_db.Ted_cache.merge}: malformed
-    entries dropped, never overwrite, hence idempotent. *)
-
 val size : cache -> int
 val hits : cache -> int
 val misses : cache -> int

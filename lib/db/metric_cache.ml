@@ -84,15 +84,6 @@ let add c k t =
   let payload = encode_tree t in
   if valid_entry k payload then ignore (Store.add c.store k payload)
 
-(* Same defensive posture as [Index_cache.merge]: malformed entries are
-   dropped and existing keys never overwritten, so merging twice is a
-   no-op. Raw payloads (not trees) so merge never pays a decode. *)
-let merge c entries =
-  List.iter
-    (fun (k, payload) ->
-      if valid_entry k payload then ignore (Store.add c.store k payload))
-    entries
-
 let size c = Store.size c.store
 let pending c = Store.pending c.store
 let hits c = c.hits

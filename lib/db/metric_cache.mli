@@ -40,11 +40,6 @@ val add : cache -> string -> Sv_metric.Vptree.t -> unit
 (** Encode and store under [key]. Existing keys are never overwritten
     (re-adding after a concurrent populate is a no-op). *)
 
-val merge : cache -> (string * string) list -> unit
-(** Merge raw (key, payload) entries defensively: malformed entries are
-    dropped, existing keys never overwritten — merging the same batch
-    twice is a no-op. *)
-
 val size : cache -> int
 val hits : cache -> int
 val misses : cache -> int

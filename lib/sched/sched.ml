@@ -606,6 +606,3 @@ let map ?jobs ?policy ?stats ~encode ~decode ~f tasks =
         | None -> failwith "sched: missing result (worker lost a task)")
       results
   end
-
-let map_list ?jobs ?policy ?stats ~encode ~decode ~f xs =
-  Array.to_list (map ?jobs ?policy ?stats ~encode ~decode ~f (Array.of_list xs))

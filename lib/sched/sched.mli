@@ -169,14 +169,3 @@ val map :
     and it must not rely on threads or open channels of the parent.
     Under degradation [f] also runs in the parent for struck tasks, so
     it must not deliberately kill its own process. *)
-
-val map_list :
-  ?jobs:int ->
-  ?policy:policy ->
-  ?stats:stats ->
-  encode:('b -> Sv_msgpack.Msgpack.t) ->
-  decode:(Sv_msgpack.Msgpack.t -> 'b) ->
-  f:('a -> 'b) ->
-  'a list ->
-  'b list
-(** List interface over {!map}, same ordering guarantee. *)

@@ -177,10 +177,7 @@ let obtain t cbs =
     match missing with
     | [] -> []
     | _ ->
-        let ixs =
-          Index_engine.index_many ~run:false ~jobs:t.cfg.jobs
-            (List.map snd missing)
-        in
+        let ixs = Index_engine.index_many ~run:false (List.map snd missing) in
         List.map2
           (fun (key, _) ix ->
             let r =

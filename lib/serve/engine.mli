@@ -32,7 +32,7 @@
 module Pipeline = Sv_core.Pipeline
 
 type config = {
-  jobs : int;  (** worker processes for indexing fan-out and TED matrices *)
+  jobs : int;  (** worker processes for TED matrices *)
   lru_budget : int;  (** resident-codebase budget, bytes of encoded payload *)
   high_water : int;  (** request-queue admission mark (enforced by {!Server}) *)
   ted_cache_path : string option;

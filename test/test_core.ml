@@ -351,8 +351,8 @@ let ix_fingerprint (ix : Pipeline.indexed) =
     Option.map Sv_util.Coverage.dump ix.Pipeline.ix_coverage )
 
 let engine_corpus () =
-  (* mixed-language batch: MiniC codebases exercise both parallel grains,
-     the MiniF one the serial fallback of the unit-grain path *)
+  (* mixed-language batch: three multi-unit MiniC codebases and one
+     single-unit MiniF codebase through the same cache *)
   let c = Sv_corpus.Babelstream.all () in
   [ List.nth c 0; List.nth c 1; List.nth c 2;
     List.hd (Sv_corpus.Babelstream_f.all ()) ]
@@ -370,30 +370,16 @@ let check_identical name reference ixs =
         (ix_fingerprint a = ix_fingerprint b))
     reference ixs
 
-let test_engine_parallel_model_grain () =
-  let cbs = engine_corpus () in
-  let reference = List.map Pipeline.index cbs in
-  (* chunk:1 with jobs:2 over 4 misses takes the whole-codebase branch *)
-  check_identical "model grain" reference
-    (Index_engine.index_many ~jobs:2 ~chunk:1 cbs)
-
-let test_engine_parallel_unit_grain () =
-  let cbs = engine_corpus () in
-  let reference = List.map Pipeline.index cbs in
-  (* more workers than misses takes the per-unit branch *)
-  check_identical "unit grain" reference
-    (Index_engine.index_many ~jobs:8 cbs)
-
 let test_engine_warm_cache () =
   let cbs = engine_corpus () in
   let reference = List.map Pipeline.index cbs in
   let cache = Index_cache.create () in
   with_cache (Some cache) (fun () ->
-      check_identical "cold" reference (Index_engine.index_many ~jobs:1 cbs);
+      check_identical "cold" reference (Index_engine.index_many cbs);
       checki "all misses recorded, trees and run" (2 * List.length cbs)
         (Index_cache.size cache);
       let hits_before = Index_cache.hits cache in
-      check_identical "warm" reference (Index_engine.index_many ~jobs:1 cbs);
+      check_identical "warm" reference (Index_engine.index_many cbs);
       checki "all hits, trees and run" (hits_before + (2 * List.length cbs))
         (Index_cache.hits cache));
   (* the persisted cache serves an identical warm run in a fresh table *)
@@ -404,7 +390,7 @@ let test_engine_warm_cache () =
   in
   with_cache (Some reloaded) (fun () ->
       check_identical "warm from disk" reference
-        (Index_engine.index_many ~jobs:1 cbs);
+        (Index_engine.index_many cbs);
       checki "no recompute" (2 * List.length cbs) (Index_cache.hits reloaded))
 
 (* The two records: a trees-only indexing stores trees alone; a later
@@ -415,7 +401,7 @@ let test_engine_run_on_demand () =
   let n = List.length cbs in
   let cache = Index_cache.create () in
   with_cache (Some cache) (fun () ->
-      let trees_only = Index_engine.index_many ~run:false ~jobs:1 cbs in
+      let trees_only = Index_engine.index_many ~run:false cbs in
       checkb "no run without asking" true
         (List.for_all
            (fun (ix : Pipeline.indexed) ->
@@ -423,12 +409,12 @@ let test_engine_run_on_demand () =
            trees_only);
       checki "trees records only" n (Index_cache.size cache);
       let hits = Index_cache.hits cache and misses = Index_cache.misses cache in
-      ignore (Index_engine.index_many ~jobs:1 cbs);
+      ignore (Index_engine.index_many cbs);
       checki "every trees record hits" (hits + n) (Index_cache.hits cache);
       checki "every run record misses once" (misses + n) (Index_cache.misses cache);
       checki "run records stored" (2 * n) (Index_cache.size cache);
       let hits = Index_cache.hits cache and misses = Index_cache.misses cache in
-      let third = Index_engine.index_many ~jobs:1 cbs in
+      let third = Index_engine.index_many cbs in
       checki "both records hit" (hits + (2 * n)) (Index_cache.hits cache);
       checki "nothing interpreted" misses (Index_cache.misses cache);
       List.iter2
@@ -530,7 +516,7 @@ let test_engine_corrupt_payload_recomputes () =
   Index_cache.add cache (Index_engine.run_key key) "garbage";
   with_cache (Some cache) (fun () ->
       checkb "recomputed identically" true
-        (ix_fingerprint (Index_engine.index ~jobs:1 cb) = ix_fingerprint reference))
+        (ix_fingerprint (Index_engine.index cb) = ix_fingerprint reference))
 
 (* --- the divergence memo --- *)
 
@@ -563,29 +549,20 @@ let test_memo_keys_on_content () =
 (* --- the engine over a generated corpus --- *)
 
 (* Seeded mutants and grown variants of BabelStream through the whole
-   engine, at a size that runs in seconds: indexing serial and pooled,
-   and the T_sem matrix serial, pooled over a cold TED cache and warm
-   from it, are all byte-identical. The raw integer divergence the
-   VP-tree relies on obeys the triangle inequality on every triple, and
-   the VP-tree answers every member's k-NN exactly as a brute-force sort
-   whether built cold or reloaded from a persisted metric cache (with
-   zero build evaluations). *)
+   engine, at a size that runs in seconds: the engine indexes them
+   exactly as the pipeline does, and the T_sem matrix serial, pooled
+   over a cold TED cache and warm from it, are all byte-identical. The
+   raw integer divergence the VP-tree relies on obeys the triangle
+   inequality on every triple, and the VP-tree answers every member's
+   k-NN exactly as a brute-force sort whether built cold or reloaded
+   from a persisted metric cache (with zero build evaluations). *)
 let gen_cbs =
   lazy (Option.get (Sv_core.Apps.corpus_of_app "gen:mixed:babelstream:8:8"))
-let gen_ixs = lazy (Sv_core.Index_engine.index_many ~jobs:1 (Lazy.force gen_cbs))
+let gen_ixs = lazy (Sv_core.Index_engine.index_many (Lazy.force gen_cbs))
 
 let test_generated_index_identical () =
-  let cbs = Lazy.force gen_cbs in
-  (* small generated codebases sit below the IPC floor: the pool is not
-     worth its frames, so the planner keeps them in-process *)
-  checkb "sub-floor corpus indexes serially" true
-    (Sv_core.Index_engine.plan_grain ~jobs:2 cbs = `Serial);
-  let bytes ixs =
-    List.map (fun ix -> Sv_db.Codebase_db.save (Pipeline.to_db ix)) ixs
-  in
-  let serial = bytes (Lazy.force gen_ixs) in
-  checkb "pooled index byte-identical" true
-    (bytes (Sv_core.Index_engine.index_many ~jobs:2 ~chunk:1 cbs) = serial)
+  let ixs = List.map Pipeline.index (Lazy.force gen_cbs) in
+  check_identical "generated" ixs (Lazy.force gen_ixs)
 
 let test_generated_matrix_identical () =
   let ixs = Lazy.force gen_ixs in
@@ -627,7 +604,7 @@ let test_generated_matrix_identical () =
 let grown_cbs () =
   Option.get (Sv_core.Apps.corpus_of_app "gen:grow:serial,omp,stdpar,tbb,kokkos:8:8")
 
-let grown_ixs = lazy (Sv_core.Index_engine.index_many ~jobs:1 (grown_cbs ()))
+let grown_ixs = lazy (Sv_core.Index_engine.index_many (grown_cbs ()))
 
 let test_generated_metric_index () =
   let ixs = Lazy.force grown_ixs in
@@ -670,7 +647,7 @@ let test_generated_metric_index () =
   let cbs = grown_cbs () in
   let key = Tbmd.vp_key Tbmd.TSem ixs in
   checkb "key equal across indexings" true
-    (Tbmd.vp_key Tbmd.TSem (Sv_core.Index_engine.index_many ~jobs:1 cbs) = key);
+    (Tbmd.vp_key Tbmd.TSem (Sv_core.Index_engine.index_many cbs) = key);
   let edited =
     List.mapi
       (fun i (cb : Sv_corpus.Emit.codebase) ->
@@ -685,7 +662,7 @@ let test_generated_metric_index () =
       cbs
   in
   checkb "one source byte changes the key" false
-    (Tbmd.vp_key Tbmd.TSem (Sv_core.Index_engine.index_many ~jobs:1 edited) = key);
+    (Tbmd.vp_key Tbmd.TSem (Sv_core.Index_engine.index_many edited) = key);
   let path = Filename.temp_file "sv_metric_cache" ".svz" in
   Fun.protect
     ~finally:(fun () ->
@@ -885,10 +862,6 @@ let () =
         ] );
       ( "index-engine",
         [
-          Alcotest.test_case "parallel model grain identical" `Quick
-            test_engine_parallel_model_grain;
-          Alcotest.test_case "parallel unit grain identical" `Quick
-            test_engine_parallel_unit_grain;
           Alcotest.test_case "warm cache identical" `Quick test_engine_warm_cache;
           Alcotest.test_case "key invalidation" `Quick test_engine_key_invalidation;
           Alcotest.test_case "run record on demand" `Quick test_engine_run_on_demand;
@@ -901,7 +874,7 @@ let () =
         [ Alcotest.test_case "keys on content" `Quick test_memo_keys_on_content ] );
       ( "generated-corpus",
         [
-          Alcotest.test_case "index serial = pooled" `Quick
+          Alcotest.test_case "index equals the pipeline" `Quick
             test_generated_index_identical;
           Alcotest.test_case "matrix serial = pooled = cached" `Quick
             test_generated_matrix_identical;

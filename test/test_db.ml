@@ -226,18 +226,6 @@ let test_index_cache_add_defensive () =
   checkb "miss counted" true (Ic.find c (ic_key ~dialect:"minif" ()) = None);
   checki "misses counted" 1 (Ic.misses c)
 
-let test_index_cache_merge_idempotent () =
-  let c = Ic.create () in
-  let entries =
-    [ (ic_key (), "a"); (ic_key ~dialect:"minif" (), "b"); ("bad", "c") ]
-  in
-  Ic.merge c entries;
-  checki "valid entries merged" 2 (Ic.size c);
-  Ic.merge c entries;
-  Ic.merge c entries;
-  checki "idempotent under re-merge" 2 (Ic.size c);
-  checkb "values intact" true (Ic.find c (ic_key ()) = Some "a")
-
 let test_index_cache_load_file_missing () =
   let c = Ic.load_file "/nonexistent/dir/index.cache" in
   checki "missing file is a cold start" 0 (Ic.size c)
@@ -253,7 +241,7 @@ let prop_index_cache_roundtrip =
   QCheck.Test.make ~name:"index cache artifact round-trip" ~count:200
     arb_ic_entries (fun entries ->
       let c = Ic.create () in
-      Ic.merge c entries;
+      List.iter (fun (k, v) -> Ic.add c k v) entries;
       match Ic.load (Ic.save c) with
       | Error _ -> false
       | Ok c' ->
@@ -267,7 +255,7 @@ let prop_index_cache_truncation =
     QCheck.(pair arb_ic_entries (int_bound 100_000))
     (fun (entries, cut_seed) ->
       let c = Ic.create () in
-      Ic.merge c entries;
+      List.iter (fun (k, v) -> Ic.add c k v) entries;
       let art = Ic.save c in
       let cut = cut_seed mod String.length art in
       Result.is_error (Ic.load (String.sub art 0 cut)))
@@ -280,6 +268,18 @@ module Vp = Sv_metric.Vptree
 let mc_key ?version ?(digest = String.make 16 'd') ?(metric = "T_sem")
     ?(variant = "") () =
   Mc.key ?version ~corpus_digest:digest ~metric ~variant ()
+
+(* [c]'s entries plus raw payloads, as a damaged or foreign cache file
+   would hold them: planted through the store image, since [Mc.add]
+   only stores encoded trees. *)
+let mc_plant c entries =
+  match Sv_db.Store.load ~kind:'M' ~schema:Mc.metric_schema (Mc.save c) with
+  | Error e -> Alcotest.fail e
+  | Ok s -> (
+      List.iter (fun (k, v) -> ignore (Sv_db.Store.add s k v)) entries;
+      match Mc.load (Sv_db.Store.save s) with
+      | Ok c -> c
+      | Error e -> Alcotest.fail e)
 
 let test_metric_cache_key_invalidation () =
   let base = mc_key () in
@@ -344,8 +344,8 @@ let test_metric_cache_corrupt_payload () =
   (* a payload that is valid svz/msgpack framing but not a valid tree
      must degrade to a miss, never a crash or a wrong answer *)
   let garbage_key = mc_key ~metric:"garbage" () in
-  Mc.merge c [ (garbage_key, "not msgpack at all") ];
-  checki "merge keeps the raw entry" 2 (Mc.size c);
+  let c = mc_plant c [ (garbage_key, "not msgpack at all") ] in
+  checki "the raw entry is kept" 2 (Mc.size c);
   checkb "malformed payload is a miss" true (Mc.find c garbage_key = None);
   checkb "good entry unaffected" true (Mc.find c (mc_key ()) <> None);
   (* duplicate-id / mangled reprs are caught by the validation stack *)
@@ -359,7 +359,7 @@ let test_metric_cache_corrupt_payload () =
             (List.map (fun x -> x) repr)))
   in
   let mangled_key = mc_key ~metric:"mangled" () in
-  Mc.merge c [ (mangled_key, mangled) ];
+  let c = mc_plant c [ (mangled_key, mangled) ] in
   checkb "mangled repr is a miss" true (Mc.find c mangled_key = None)
 
 let prop_metric_cache_truncation =
@@ -539,7 +539,7 @@ let test_metric_cache_schema1_is_cold () =
   checki "no hit" 0 (Mc.hits c);
   (* even planted under a current key the old payload does not decode:
      the [built] word lands where the next node's tag is read *)
-  Mc.merge c [ (cur_key, old) ];
+  let c = mc_plant c [ (cur_key, old) ] in
   checkb "schema-1 payload is a miss" true (Mc.find c cur_key = None)
 
 let test_store_empty_and_missing () =
@@ -921,8 +921,6 @@ let () =
             test_index_cache_key_invalidation;
           Alcotest.test_case "add is defensive" `Quick
             test_index_cache_add_defensive;
-          Alcotest.test_case "merge is idempotent" `Quick
-            test_index_cache_merge_idempotent;
           Alcotest.test_case "missing file is cold start" `Quick
             test_index_cache_load_file_missing;
         ] );

@@ -120,14 +120,6 @@ let test_degraded_task_completes () =
   checki "each strike respawned a worker" 2 stats.Sched.respawns;
   checki "the task finished in-process" 1 stats.Sched.degraded
 
-let test_map_list () =
-  let out =
-    Sched.map_list ~jobs:3 ~encode:encode_int ~decode:decode_int
-      ~f:(fun x -> x * 2)
-      [ 5; 6; 7; 8 ]
-  in
-  Alcotest.(check (list int)) "map_list" [ 10; 12; 14; 16 ] out
-
 let test_default_jobs_env () =
   checkb "default jobs positive" true (Sched.default_jobs () >= 1)
 
@@ -212,7 +204,6 @@ let () =
           Alcotest.test_case "worker error propagates" `Quick test_worker_error_propagates;
           Alcotest.test_case "signal death is typed" `Quick test_signal_death_is_typed;
           Alcotest.test_case "degraded task completes" `Quick test_degraded_task_completes;
-          Alcotest.test_case "map_list" `Quick test_map_list;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_env;
         ] );
       ( "differential",
