@@ -49,8 +49,11 @@ let metric_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker processes for pairwise divergence jobs (0 = one per \
-               core, 1 = serial in-process).")
+         ~doc:"Domains that run the TED matrix's tree-edit DPs (0 = one per \
+               core, 1 = serial). Only $(b,cluster) and the daemon's \
+               $(b,matrix) and $(b,cluster) verbs build a matrix; every \
+               other command accepts the flag and runs serially. The \
+               output is the same for every N.")
 
 let ted_cache_arg =
   Arg.(value & opt (some string) None & info [ "ted-cache" ] ~docv:"FILE"
@@ -109,17 +112,6 @@ let stats_arg =
            without a DP (equal trees), DP runs, flat compiles, and \
            left/right strategy picks.")
 
-let fault_arg =
-  Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC"
-         ~doc:"Deterministic fault injection for the worker pool (manual \
-               chaos runs): comma-separated rates and a seed, e.g. \
-               crash:0.05,hang:0.02,garbage:0.03,trunc:0.02,seed:42. \
-               Workers then crash, hang or corrupt result frames at \
-               those rates; the pool recovers by respawn, bounded retry \
-               and in-process degradation, so the output is unchanged. \
-               Also settable via SV_FAULT; hangs are reclaimed after the \
-               per-task timeout (SV_TASK_TIMEOUT, default 20s).")
-
 (* Append a cache's new entries to its file and print its ledger line.
    The line ends "(saved to PATH)" also when the run added nothing and so
    wrote nothing: its wording does not depend on what was written. *)
@@ -129,72 +121,56 @@ let persist what path stats fresh save =
   | exception Sys_error msg ->
       Printf.eprintf "sv: warning: %s not saved: %s\n" what msg
 
-(* Configure the engines around [f]: resolve the worker count, install
-   the fault-injection spec, load/install the persistent TED and index
-   caches, and on the way out persist the caches, report any recovery
-   activity and reset both engines so one subcommand cannot leak state
-   into a later library use of Tbmd or Index_engine. *)
-let with_engine ?index_cache ?metric_cache ~jobs ~ted_cache ~fault f =
-  let module F = Sv_sched.Sched.Fault in
-  match
-    match fault with
-    | None -> Ok None
-    | Some s -> Result.map Option.some (F.parse s)
-  with
-  | Error e -> fail "--fault: %s" e
-  | Ok spec ->
-      (match spec with Some s -> F.set s | None -> ());
-      let jobs = if jobs <= 0 then Sv_sched.Sched.default_jobs () else jobs in
-      Tbmd.set_jobs jobs;
-      (match ted_cache with
-      | Some path ->
-          Tbmd.set_ted_cache (Some (Sv_db.Codebase_db.Ted_cache.load_file path))
-      | None -> ());
-      (match index_cache with
-      | Some path ->
-          Sv_core.Index_engine.set_cache (Some (Sv_db.Index_cache.load_file path))
-      | None -> ());
-      (match metric_cache with
-      | Some path ->
-          Tbmd.set_metric_cache (Some (Sv_db.Metric_cache.load_file path))
-      | None -> ());
-      let finish () =
-        (match (ted_cache, Tbmd.ted_cache ()) with
-        | Some path, Some c ->
-            let module C = Sv_db.Codebase_db.Ted_cache in
-            persist "ted-cache" path (C.stats c) (C.pending c) (fun () ->
-                C.save_file path c)
-        | _ -> ());
-        (match (index_cache, Sv_core.Index_engine.cache ()) with
-        | Some path, Some c ->
-            let module C = Sv_db.Index_cache in
-            persist "index-cache" path (C.stats c) (C.pending c) (fun () ->
-                C.save_file path c)
-        | _ -> ());
-        (match (metric_cache, Tbmd.metric_cache ()) with
-        | Some path, Some c ->
-            let module C = Sv_db.Metric_cache in
-            persist "metric-cache" path (C.stats c) (C.pending c) (fun () ->
-                C.save_file path c)
-        | _ -> ());
-        (match spec with
-        | Some s when not (F.is_none s) ->
-            Printf.printf "fault injection %s: %s\n" (F.to_string s)
-              (Sv_sched.Sched.stats_to_string (Sv_sched.Sched.last_stats ()))
-        | _ -> ());
-        F.clear ();
-        Sv_core.Index_engine.set_cache None;
-        Tbmd.set_metric_cache None;
-        Tbmd.set_ted_cache None;
-        Tbmd.set_jobs 1
-      in
-      (match f () with
-      | r ->
-          finish ();
-          r
-      | exception e ->
-          finish ();
-          raise e)
+(* Configure the engines around [f]: resolve the worker count,
+   load/install the persistent TED and index caches, and on the way out
+   persist the caches and reset both engines so one subcommand cannot
+   leak state into a later library use of Tbmd or Index_engine. *)
+let with_engine ?index_cache ?metric_cache ~jobs ~ted_cache f =
+  let jobs = if jobs <= 0 then Tbmd.default_jobs () else jobs in
+  Tbmd.set_jobs jobs;
+  (match ted_cache with
+  | Some path ->
+      Tbmd.set_ted_cache (Some (Sv_db.Codebase_db.Ted_cache.load_file path))
+  | None -> ());
+  (match index_cache with
+  | Some path ->
+      Sv_core.Index_engine.set_cache (Some (Sv_db.Index_cache.load_file path))
+  | None -> ());
+  (match metric_cache with
+  | Some path ->
+      Tbmd.set_metric_cache (Some (Sv_db.Metric_cache.load_file path))
+  | None -> ());
+  let finish () =
+    (match (ted_cache, Tbmd.ted_cache ()) with
+    | Some path, Some c ->
+        let module C = Sv_db.Codebase_db.Ted_cache in
+        persist "ted-cache" path (C.stats c) (C.pending c) (fun () ->
+            C.save_file path c)
+    | _ -> ());
+    (match (index_cache, Sv_core.Index_engine.cache ()) with
+    | Some path, Some c ->
+        let module C = Sv_db.Index_cache in
+        persist "index-cache" path (C.stats c) (C.pending c) (fun () ->
+            C.save_file path c)
+    | _ -> ());
+    (match (metric_cache, Tbmd.metric_cache ()) with
+    | Some path, Some c ->
+        let module C = Sv_db.Metric_cache in
+        persist "metric-cache" path (C.stats c) (C.pending c) (fun () ->
+            C.save_file path c)
+    | _ -> ());
+    Sv_core.Index_engine.set_cache None;
+    Tbmd.set_metric_cache None;
+    Tbmd.set_ted_cache None;
+    Tbmd.set_jobs 1
+  in
+  match f () with
+  | r ->
+      finish ();
+      r
+  | exception e ->
+      finish ();
+      raise e
 
 (* --- commands --- *)
 
@@ -271,7 +247,7 @@ let index_cmd =
         match find_codebase ~app cbs model with
         | None -> fail "app %s has no model %s" app model
         | Some cb ->
-            with_engine ?index_cache ~jobs:1 ~ted_cache:None ~fault:None
+            with_engine ?index_cache ~jobs:1 ~ted_cache:None
             @@ fun () ->
             let ix = Sv_core.Index_engine.index cb in
             let bytes = Sv_db.Codebase_db.save (Pipeline.to_db ix) in
@@ -321,11 +297,11 @@ let inspect_cmd =
     Term.(ret (const run $ path))
 
 let compare_cmd =
-  let run app base target jobs ted_cache index_cache fault stats =
+  let run app base target jobs ted_cache index_cache stats =
     with_app app (fun cbs ->
         match (find_codebase ~app cbs base, find_codebase ~app cbs target) with
         | Some b, Some t ->
-            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun () ->
+            with_engine ?index_cache ~jobs ~ted_cache @@ fun () ->
             if stats then Sv_perf.Telemetry.reset_ted ();
             let bix, tix =
               match Sv_core.Index_engine.index_many ~run:false [ b; t ] with
@@ -346,15 +322,15 @@ let compare_cmd =
         (const run $ app_arg
         $ model_arg [ "base"; "b" ] "Base model id (the port's origin)."
         $ model_arg [ "target"; "t" ] "Target model id."
-        $ jobs_arg $ ted_cache_arg $ index_cache_arg $ fault_arg $ stats_arg))
+        $ jobs_arg $ ted_cache_arg $ index_cache_arg $ stats_arg))
 
 let cluster_cmd =
-  let run app metric jobs ted_cache index_cache fault =
+  let run app metric jobs ted_cache index_cache =
     match Tbmd.metric_of_string metric with
     | None -> fail "unknown metric %S" metric
     | Some m ->
         with_app app (fun cbs ->
-            with_engine ?index_cache ~jobs ~ted_cache ~fault @@ fun () ->
+            with_engine ?index_cache ~jobs ~ted_cache @@ fun () ->
             let ixs = Sv_core.Index_engine.index_many ~run:false cbs in
             print_string (Engine.render_cluster m ixs);
             `Ok ())
@@ -365,7 +341,7 @@ let cluster_cmd =
     Term.(
       ret
         (const run $ app_arg $ metric_arg $ jobs_arg $ ted_cache_arg
-        $ index_cache_arg $ fault_arg))
+        $ index_cache_arg))
 
 let nearest_cmd =
   let run app model k metric budget epsilon jobs ted_cache index_cache
@@ -387,7 +363,7 @@ let nearest_cmd =
               | None -> fail "app %s has no model %s" app model
               | Some cb ->
                   with_engine ?index_cache ?metric_cache ~jobs ~ted_cache
-                    ~fault:None
+                   
                   @@ fun () ->
                   let ixs = Sv_core.Index_engine.index_many ~run:false cbs in
                   let qix = List.assq cb (List.combine cbs ixs) in
@@ -454,7 +430,7 @@ let chart_cmd =
 let verify_cmd =
   let run app index_cache =
     with_app app (fun cbs ->
-        with_engine ?index_cache ~jobs:1 ~ted_cache:None ~fault:None @@ fun () ->
+        with_engine ?index_cache ~jobs:1 ~ted_cache:None @@ fun () ->
         let all_ok = ref true in
         List.iter
           (fun (ix : Pipeline.indexed) ->
@@ -661,7 +637,7 @@ let serve_cmd =
     match Sv_serve.Server.create ~socket (Engine.create cfg) with
     | exception Failure msg -> fail "%s" msg
     | server ->
-        let cfg_jobs = if jobs <= 0 then Sv_sched.Sched.default_jobs () else jobs in
+        let cfg_jobs = if jobs <= 0 then Tbmd.default_jobs () else jobs in
         Printf.printf "sv serve: listening on %s (jobs %d, lru %d MiB, high-water %d)\n%!"
           socket cfg_jobs
           (cfg.Engine.lru_budget / (1024 * 1024))

@@ -267,9 +267,8 @@ let index ?run ?jobs:_ cb =
 (* --- TED warm-up ------------------------------------------------------ *)
 
 (* Compile the flat TED kernel of every tree a matrix sweep will touch,
-   before any pair is evaluated (and before any worker forks — children
-   then inherit the compiled kernels copy-on-write instead of each
-   recompiling them). Ascending size order keeps compile locality cheap;
+   before any pair is evaluated, so the domains of a parallel sweep only
+   ever read them. Ascending size order keeps compile locality cheap;
    reserving scratch for the two largest trees means no DP buffer ever
    regrows mid-sweep. Distances are unaffected — this is purely a
    warming pass. *)

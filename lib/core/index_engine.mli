@@ -51,7 +51,7 @@ val index_many :
     The result is byte-identical to [List.map (Pipeline.index ~run) cbs].
 
     [?jobs] is accepted and ignored. Indexing is serial: fanning misses
-    over forked workers was slower than indexing them in-process on
+    over forked workers (since deleted) was slower than indexing them in-process on
     every bundled app and generated corpus, since each result had to be
     encoded, piped and decoded again. The argument stays only because
     [perfbench/probe.ml] still passes [~jobs:1]. *)
@@ -70,10 +70,10 @@ val warm_ted : Sv_tree.Label.tree list -> unit
 (** [warm_ted trees] pre-compiles the flat TED kernel of every tree
     (ascending by size, memoised by intern id in
     {!Sv_metrics.Divergence}) and pre-grows the shared DP scratch for the
-    two largest, so a following matrix sweep — serial or fanned over
-    forked workers, which inherit the compiled kernels copy-on-write —
-    never compiles or reallocates mid-pair. Purely a warming pass;
-    distances are unchanged. *)
+    two largest, so a following matrix sweep never compiles or
+    reallocates mid-pair; a parallel sweep's domains read the compiled
+    kernels as they are. Purely a warming pass; distances are
+    unchanged. *)
 
 (** {2 Payload codecs}
 

@@ -2,7 +2,6 @@ module Tree = Sv_tree.Tree
 module Div = Sv_metrics.Divergence
 module Db = Sv_db.Codebase_db
 module M = Sv_msgpack.Msgpack
-module Sched = Sv_sched.Sched
 
 type metric = SLOC | LLOC | Source | TSrc | TSem | TSemI | TIr
 type variant = Base | PP | Cov
@@ -107,11 +106,12 @@ let memo_key ~variant metric c1 c2 =
 
 (* --- engine configuration ------------------------------------------- *)
 
-(* [matrix] fans its pairwise jobs over this many forked workers; 1 (the
-   default) keeps everything in-process. *)
+(* [matrix] runs its TED DPs on up to this many domains; 1 (the default)
+   runs everything on the calling domain. *)
 let engine_jobs = ref 1
 let set_jobs j = engine_jobs := max 1 j
 let jobs () = !engine_jobs
+let default_jobs () = Domain.recommended_domain_count ()
 
 (* When set, every pairwise TED first consults the persistent
    digest-keyed cache and records what it had to compute. *)
@@ -209,29 +209,6 @@ let divergence ?(variant = Base) metric c1 c2 =
   let d, dmax = raw_divergence ~variant metric c1 c2 in
   Div.normalised ~d ~dmax
 
-(* Pipe codec for one pairwise result: the raw (d, dmax) pair plus the
-   TED cache entries the worker had to compute, so warm-cache state built
-   in children flows back to the parent. *)
-let pair_result_to_msgpack (dij, dmaxij, adds) =
-  M.Arr
-    [
-      M.Int dij;
-      M.Int dmaxij;
-      M.Arr (List.map (fun (a, b, dd) -> M.Arr [ M.Bin a; M.Bin b; M.Int dd ]) adds);
-    ]
-
-let pair_result_of_msgpack = function
-  | M.Arr [ M.Int dij; M.Int dmaxij; M.Arr adds ] ->
-      let adds =
-        List.map
-          (function
-            | M.Arr [ M.Bin a; M.Bin b; M.Int dd ] -> (a, b, dd)
-            | _ -> failwith "Tbmd: malformed cache addition")
-          adds
-      in
-      (dij, dmaxij, adds)
-  | _ -> failwith "Tbmd: malformed pair result"
-
 let warm_trees metric variant codebases =
   match metric with
   | TSrc | TSem | TSemI | TIr ->
@@ -240,6 +217,43 @@ let warm_trees metric variant codebases =
            (fun c -> List.map (fun u -> tree_of metric variant c u) c.ix_units)
            codebases)
   | SLOC | LLOC | Source -> ()
+
+(* The DPs the serial matrix loop over [pairs] would run, each once:
+   it skips what that loop would settle without a DP (a memoised
+   codebase pair, equal trees, a TED-cache hit), bumping no counter. A
+   pair of different languages is left to the loop, which rejects it. *)
+let planned_dps ~variant metric arr pairs =
+  match metric with
+  | SLOC | LLOC | Source -> []
+  | TSrc | TSem | TSemI | TIr ->
+      let cached t1 t2 =
+        match !engine_cache with
+        | None -> false
+        | Some c -> Db.Ted_cache.mem c (ted_digest t1) (ted_digest t2)
+      in
+      let seen = Hashtbl.create 64 in
+      Array.fold_left
+        (fun acc (i, j) ->
+          let c1 = arr.(i) and c2 = arr.(j) in
+          if
+            c1.ix_lang <> c2.ix_lang
+            || Hashtbl.mem cache (memo_key ~variant metric c1 c2)
+            || Hashtbl.mem cache (memo_key ~variant metric c2 c1)
+          then acc
+          else
+            List.fold_left
+              (fun acc -> function
+                | Some u1, Some u2 -> (
+                    let t1 = tree_of metric variant c1 u1 in
+                    let t2 = tree_of metric variant c2 u2 in
+                    match Div.dp_ids t1 t2 with
+                    | Some k when not (Hashtbl.mem seen k || cached t1 t2) ->
+                        Hashtbl.add seen k ();
+                        k :: acc
+                    | _ -> acc)
+                | _ -> acc)
+              acc (unit_pairs c1 c2))
+        [] pairs
 
 let matrix ?(variant = Base) metric codebases =
   (* every raw distance (TED, O(NP), |ΔSLOC|) is symmetric; only dmax is
@@ -260,52 +274,23 @@ let matrix ?(variant = Base) metric codebases =
     done
   done;
   (* Tree metrics: compile every tree's flat form and size the DP scratch
-     up front, so neither the serial loop nor any forked worker (which
-     inherits the warm memo copy-on-write) compiles or reallocates
-     mid-pair. Pair order below is untouched — results, memo and cache
-     contents stay byte-identical. *)
+     up front, so the loop below never compiles or reallocates mid-pair. *)
   warm_trees metric variant codebases;
-  let jobs = !engine_jobs in
-  if jobs <= 1 || Array.length pairs < 2 then
+  let serial () =
     Array.iter
       (fun (i, j) ->
         let dij, _ = raw_divergence ~variant metric arr.(i) arr.(j) in
         d.(i).(j) <- dij;
         d.(j).(i) <- dij)
       pairs
-  else begin
-    (* Entries journalled before the fan-out belong to the parent; drop
-       them from the journal (they are already in the table) so the first
-       task of each worker ships only what it computed itself. *)
-    (match !engine_cache with
-    | Some c -> ignore (Db.Ted_cache.drain_additions c)
-    | None -> ());
-    let f (i, j) =
-      let dij, dmaxij = raw_divergence ~variant metric arr.(i) arr.(j) in
-      let adds =
-        match !engine_cache with
-        | Some c -> Db.Ted_cache.drain_additions c
-        | None -> []
-      in
-      (dij, dmaxij, adds)
-    in
-    let results =
-      Sched.map ~jobs ~encode:pair_result_to_msgpack
-        ~decode:pair_result_of_msgpack ~f pairs
-    in
-    (* Reassembly in pair order keeps everything deterministic: the
-       matrix trivially, but also the memo and cache contents. *)
-    Array.iteri
-      (fun k (dij, dmaxij, adds) ->
-        let i, j = pairs.(k) in
-        d.(i).(j) <- dij;
-        d.(j).(i) <- dij;
-        Hashtbl.replace cache (memo_key ~variant metric arr.(i) arr.(j)) (dij, dmaxij);
-        match !engine_cache with
-        | Some c -> Db.Ted_cache.merge c adds
-        | None -> ())
-      results
-  end;
+  in
+  (if !engine_jobs <= 1 then serial ()
+   else
+     let dps = planned_dps ~variant metric arr pairs in
+     let domains =
+       min !engine_jobs (min (List.length dps) (default_jobs ()))
+     in
+     if domains < 2 then serial () else Div.with_dps ~domains dps serial);
   Sv_cluster.Cluster.of_fn labels (fun i j ->
       if i = j then 0.0 else Div.normalised ~d:d.(i).(j) ~dmax:dmax.(j))
 

@@ -36,20 +36,29 @@ val metric_of_string : string -> metric option
 (** {2 Engine configuration}
 
     [matrix] computes each unordered codebase pair once. With
-    [set_jobs n], n ≥ 2, those pairwise jobs fan out over a forked
-    worker pool ({!Sv_sched.Sched}) with deterministic reassembly — the
-    matrix is identical to a serial run. With a persistent TED cache
-    installed ([set_ted_cache]), every pairwise tree comparison first
-    consults the digest-keyed table (each tree value is digested once
-    per process, not once per pair); entries computed inside workers are
-    shipped back and merged, so the parent's cache warms up even in
-    parallel runs. *)
+    [set_jobs n], n ≥ 2, it first collects the TED DPs its serial loop
+    would run and runs them on up to [n] domains
+    ({!Sv_metrics.Divergence.with_dps}), then runs that same serial loop,
+    which takes each DP result instead of recomputing it: the matrix,
+    the memo, the TED cache and the counters are those of a serial run.
+    With a persistent TED cache installed ([set_ted_cache]), every
+    pairwise tree comparison first consults the digest-keyed table (each
+    tree value is digested once per process, not once per pair).
+
+    OCaml 5.1 refuses to fork a process that has ever spawned a domain,
+    so a program that forks must do it before its first [matrix] at
+    [n] ≥ 2. *)
 
 val set_jobs : int -> unit
-(** Worker processes used by {!matrix} (clamped to ≥ 1; default 1 =
-    serial, in-process). *)
+(** Most domains {!matrix} runs its DPs on (clamped to ≥ 1; default 1 =
+    the calling domain only). A matrix uses at most as many domains as
+    it has DPs to run and as {!default_jobs} reports. *)
 
 val jobs : unit -> int
+
+val default_jobs : unit -> int
+(** [Domain.recommended_domain_count ()]: what a requested worker count
+    of 0 means. *)
 
 val set_ted_cache : Sv_db.Codebase_db.Ted_cache.cache option -> unit
 (** Install (or remove, with [None]) the persistent TED memo consulted

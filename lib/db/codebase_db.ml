@@ -165,15 +165,12 @@ let load bytes =
 module Ted_cache = struct
   type cache = {
     store : Store.t;  (* ordered digest pair (32 bytes) -> decimal distance *)
-    mutable additions : (string * string * int) list;
-        (** entries recorded since the last {!drain_additions} — the
-            journal forked workers ship back to the parent process *)
     mutable hits : int;
     mutable misses : int;
   }
 
   let kind = 'T'
-  let of_store store = { store; additions = []; hits = 0; misses = 0 }
+  let of_store store = { store; hits = 0; misses = 0 }
   let create () = of_store (Store.create ~kind ~schema:schema_version)
 
   (* The digest ignores locations because Label.equal does: two trees
@@ -188,8 +185,11 @@ module Ted_cache = struct
     let a, b = ordered a b in
     a ^ b
 
+  let lookup c a b = Option.bind (Store.find c.store (key a b)) int_of_string_opt
+  let mem c a b = Option.is_some (lookup c a b)
+
   let find c a b =
-    match Option.bind (Store.find c.store (key a b)) int_of_string_opt with
+    match lookup c a b with
     | Some d ->
         c.hits <- c.hits + 1;
         Some d
@@ -197,30 +197,7 @@ module Ted_cache = struct
         c.misses <- c.misses + 1;
         None
 
-  (* Entries arriving here have crossed a worker pipe that may have been
-     faulted mid-batch, and a degraded run can hand the same pair over
-     twice (once journalled by the parent's in-process retry, once in the
-     shipped additions). Accept only well-formed entries — raw 16-byte
-     MD5 digests and a non-negative distance — and never overwrite or
-     re-journal an existing key, so the persisted cache can hold a torn
-     or duplicated entry under no failure mode. *)
-  let valid_entry a b d = String.length a = 16 && String.length b = 16 && d >= 0
-
-  let add c a b d =
-    if Store.add c.store (key a b) (string_of_int d) then
-      let ka, kb = ordered a b in
-      c.additions <- (ka, kb, d) :: c.additions
-
-  let merge c entries =
-    List.iter
-      (fun (a, b, d) ->
-        if valid_entry a b d then ignore (Store.add c.store (key a b) (string_of_int d)))
-      entries
-
-  let drain_additions c =
-    let xs = List.rev c.additions in
-    c.additions <- [];
-    xs
+  let add c a b d = ignore (Store.add c.store (key a b) (string_of_int d))
 
   let size c = Store.size c.store
   let pending c = Store.pending c.store

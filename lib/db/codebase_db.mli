@@ -61,22 +61,12 @@ module Ted_cache : sig
   (** [find c da db] looks up the distance for a digest pair, in either
       order, bumping the hit/miss counters. *)
 
+  val mem : cache -> string -> string -> bool
+  (** [mem c da db] is whether {!find} would hit, without bumping the
+      counters. *)
+
   val add : cache -> string -> string -> int -> unit
-  (** Record a computed distance. New entries are also appended to the
-      additions journal (see {!drain_additions}). *)
-
-  val merge : cache -> (string * string * int) list -> unit
-  (** Fold entries from another process into the table {e without}
-      journalling them — how the parent absorbs worker additions.
-      Defensive against faulted or degraded pool runs: entries that are
-      not (16-byte digest, 16-byte digest, non-negative distance) are
-      dropped, and an existing key is never overwritten, so merging the
-      same batch twice — or a batch recomputed in-process after worker
-      strikes — cannot tear or duplicate an entry. *)
-
-  val drain_additions : cache -> (string * string * int) list
-  (** Entries added since the last drain, oldest first, clearing the
-      journal — what a forked worker ships back with its results. *)
+  (** Record a computed distance; an existing entry is kept. *)
 
   val size : cache -> int
   val hits : cache -> int

@@ -9,18 +9,16 @@ let source_distance a b =
    physically shared int-labelled views ([Label.equal] classes, so
    locations never reach the DP). Equal trees — repeated matrix cells,
    shared headers, identical ports — share one intern id and skip the DP,
-   and repeated operands skip re-interning of everything already seen. Forked workers each inherit a private copy of
-   the table, so the pool stays deterministic. *)
+   and repeated operands skip re-interning of everything already seen.
+   The table, like every memo below, belongs to the main domain. *)
 let canonizer : Label.t Sv_tree.Hashcons.canonizer =
   Sv_tree.Hashcons.canonizer ~init:4096 ~hash:Label.hash ~equal:Label.equal ()
 
 let canon t = Sv_tree.Hashcons.canon canonizer t
 
 (* Flat kernels memoised by intern id: one compile per distinct tree for
-   the life of the process, shared by every matrix cell that mentions it.
-   Forked workers inherit the parent's memo copy-on-write, so pre-warming
-   the memo before a fan-out (see [Index_engine.warm_ted]) means no
-   worker recompiles what the parent already has. *)
+   the life of the process, shared by every matrix cell that mentions it
+   (and read, never written, by the domains of [with_dps]). *)
 let flat_memo : (int, Sv_tree.Flat.t) Hashtbl.t = Hashtbl.create 1024
 
 let flat_of_id id view =
@@ -57,9 +55,58 @@ let warm_flat t =
   let id, view = canon_id t in
   ignore (flat_of_id id view)
 
+let dp_ids t1 t2 =
+  let id1, v1 = canon_id t1 in
+  let id2, v2 = canon_id t2 in
+  if id1 = id2 then None
+  else begin
+    ignore (flat_of_id id1 v1);
+    ignore (flat_of_id id2 v2);
+    Some (id1, id2)
+  end
+
+(* DP results computed ahead of the loop that asks for them, keyed by
+   the operands' intern ids; empty outside [with_dps]. *)
+let ready : (int * int, int) Hashtbl.t = Hashtbl.create 0
+
+(* Domains take the DPs, largest first, from a shared counter; each owns
+   its scratch (the calling domain the shared one) and its result slots,
+   and counts nothing. An exception on any domain is re-raised here once
+   every domain has been joined. *)
+let run_dps ~domains (flats : (Sv_tree.Flat.t * Sv_tree.Flat.t) array) =
+  let results = Array.make (Array.length flats) 0 in
+  let next = Atomic.make 0 in
+  let rec work scratch =
+    let k = Atomic.fetch_and_add next 1 in
+    if k < Array.length flats then begin
+      let a, b = flats.(k) in
+      results.(k) <- Sv_tree.Flat.dp ?scratch a b;
+      work scratch
+    end
+  in
+  let others =
+    List.init (domains - 1) (fun _ ->
+        Domain.spawn (fun () -> work (Some (Sv_tree.Flat.scratch ()))))
+  in
+  let mine = try Ok (work None) with e -> Error e in
+  let joined = List.map (fun d -> try Ok (Domain.join d) with e -> Error e) others in
+  List.iter (function Ok () -> () | Error e -> raise e) (mine :: joined);
+  results
+
+let with_dps ~domains ids f =
+  let cost (a, b) = Sv_tree.Flat.size a * Sv_tree.Flat.size b in
+  let jobs =
+    List.map (fun (i, j) -> ((i, j), (Hashtbl.find flat_memo i, Hashtbl.find flat_memo j))) ids
+    |> List.stable_sort (fun (_, x) (_, y) -> compare (cost y) (cost x))
+    |> Array.of_list
+  in
+  let ds = run_dps ~domains (Array.map snd jobs) in
+  Array.iteri (fun k (key, _) -> Hashtbl.replace ready key ds.(k)) jobs;
+  Fun.protect ~finally:(fun () -> Hashtbl.reset ready) f
+
 (* Every distinct canonical tree is compiled once into Flat's contiguous
    arrays (memoised above by intern id) and compared by the
-   allocation-free flat kernel. *)
+   allocation-free flat kernel, unless [with_dps] already ran its DP. *)
 let tree_distance t1 t2 =
   let id1, v1 = canon_id t1 in
   let id2, v2 = canon_id t2 in
@@ -68,7 +115,15 @@ let tree_distance t1 t2 =
     ted.equal_prunes <- ted.equal_prunes + 1;
     0
   end
-  else Sv_tree.Flat.distance (flat_of_id id1 v1) (flat_of_id id2 v2)
+  else
+    let f1 = flat_of_id id1 v1 and f2 = flat_of_id id2 v2 in
+    match
+      if Hashtbl.length ready = 0 then None else Hashtbl.find_opt ready (id1, id2)
+    with
+    | Some d ->
+        Sv_tree.Flat.count_dp f1 f2;
+        d
+    | None -> Sv_tree.Flat.distance f1 f2
 
 let tree_distance_matched t1 t2 =
   let root_cost = if Label.equal (Tree.label t1) (Tree.label t2) then 0 else 1 in

@@ -20,9 +20,8 @@ val canon : Sv_tree.Label.tree -> int Sv_tree.Tree.t
 
 val warm_flat : Sv_tree.Label.tree -> unit
 (** [warm_flat t] canonises [t] and compiles its flat kernel into the
-    process-global memo (keyed by intern id) if not already present.
-    Call before forking a worker pool so children inherit the compiled
-    kernels copy-on-write instead of each recompiling them. *)
+    process-global memo (keyed by intern id) if not already present, so
+    a following matrix sweep compiles nothing mid-pair. *)
 
 val tree_distance : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 (** Unit-cost TED with the paper's label equality ({!Sv_tree.Label.equal}:
@@ -31,6 +30,23 @@ val tree_distance : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
     cost a pointer compare and repeated operands skip re-interning; the
     {!Sv_tree.Flat} kernel, compiled once per distinct tree, computes
     the rest. *)
+
+val dp_ids : Sv_tree.Label.tree -> Sv_tree.Label.tree -> (int * int) option
+(** [dp_ids t1 t2] is the pair of intern ids whose DP
+    [tree_distance t1 t2] would run, with both flat kernels compiled, or
+    [None] when the trees are equal and no DP runs. Of the TED counters
+    it bumps only [flat_compiles], for a kernel not yet compiled, which
+    [tree_distance] then finds compiled. *)
+
+val with_dps : domains:int -> (int * int) list -> (unit -> 'a) -> 'a
+(** [with_dps ~domains ids f] runs the DP of every pair in [ids] (from
+    {!dp_ids}) on [domains] domains, the calling one included, then runs
+    [f]. While [f] runs, a {!tree_distance} call whose DP is among them
+    takes the result instead of running it, and bumps the counters the
+    DP would have bumped, so [f] counts exactly what it would count
+    alone. The DPs touch only their own scratch and result slots; the
+    memos and counters stay on the calling domain. An exception raised
+    by a DP is re-raised after every domain has been joined. *)
 
 val tree_distance_matched : Sv_tree.Label.tree -> Sv_tree.Label.tree -> int
 (** [tree_distance_matched t1 t2] approximates {!tree_distance} by the

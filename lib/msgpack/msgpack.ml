@@ -188,9 +188,6 @@ let decode s =
     raise (Decode_error (Printf.sprintf "trailing bytes at offset %d" stop));
   v
 
-let decode_result s =
-  match decode s with v -> Ok v | exception Decode_error msg -> Error msg
-
 let equal (a : t) (b : t) = a = b
 
 let rec pp fmt v =

@@ -27,18 +27,12 @@ val encode : t -> string
 
 val encode_to : Buffer.t -> t -> unit
 (** [encode_to b v] appends the encoding of [v] to [b] — lets callers
-    frame several values into one buffer (the scheduler's pipe protocol,
-    the Codebase DB writer) without intermediate strings. *)
+    frame several values into one buffer (the Codebase DB writer)
+    without intermediate strings. *)
 
 val decode : string -> t
 (** [decode s] parses exactly one value occupying the whole string.
     Raises {!Decode_error} on malformed or trailing input. *)
-
-val decode_result : string -> (t, string) result
-(** Exception-free {!decode} — frame validation for callers that must
-    treat malformed input as data, not control flow (the scheduler's
-    result pipes, where a corrupt frame from a faulted worker is a
-    strike to recover from, never an exception or a blocked read). *)
 
 val decode_prefix : string -> int -> t * int
 (** [decode_prefix s pos] parses one value starting at [pos], returning it

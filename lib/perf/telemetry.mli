@@ -4,11 +4,11 @@
     intern id or runs the full DP; these counters record which, with the
     flat compiles and decomposition strategies behind the DPs, so
     `sv compare --stats` and perfbench can report that work next to
-    wall-clock numbers. Counters
-    are plain mutable ints — monotone within a process, reset explicitly,
-    and private to each forked worker (children inherit a copy; their
-    increments do not flow back, so parent-side reports describe
-    parent-side work only). *)
+    wall-clock numbers. Counters are plain mutable ints — monotone
+    within a process, reset explicitly, and bumped on the main domain
+    only: DPs that a parallel matrix runs on other domains are counted
+    by the serial loop that takes their results, so a report covers the
+    whole run at any worker count. *)
 
 type ted = {
   mutable equal_prunes : int;

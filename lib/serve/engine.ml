@@ -75,7 +75,7 @@ type t = {
 
 let create cfg =
   let cfg =
-    { cfg with jobs = (if cfg.jobs <= 0 then Sv_sched.Sched.default_jobs () else cfg.jobs) }
+    { cfg with jobs = (if cfg.jobs <= 0 then Tbmd.default_jobs () else cfg.jobs) }
   in
   let index_cache =
     match cfg.index_cache_path with

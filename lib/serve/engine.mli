@@ -18,7 +18,7 @@
     - a second {!Sv_db.Lru} of built VP-tree metric indexes keyed by
       {!Sv_core.Tbmd.vp_key}, so repeated `nearest` requests reuse the
       resident tree instead of rebuilding it per call;
-    - the engine configuration (worker count for the {!Sv_sched} pool).
+    - the engine configuration (the domain count for TED matrices).
 
     Every evaluation installs this state into the process-wide engine
     hooks ({!Sv_core.Tbmd}, {!Sv_core.Index_engine}) and restores the
@@ -32,7 +32,7 @@
 module Pipeline = Sv_core.Pipeline
 
 type config = {
-  jobs : int;  (** worker processes for TED matrices *)
+  jobs : int;  (** domains for TED matrices; 0 means {!Sv_core.Tbmd.default_jobs} *)
   lru_budget : int;  (** resident-codebase budget, bytes of encoded payload *)
   high_water : int;  (** request-queue admission mark (enforced by {!Server}) *)
   ted_cache_path : string option;

@@ -1,10 +1,8 @@
 (** The `sv serve` wire protocol: length-prefixed JSON frames.
 
     One frame is a 4-byte big-endian payload length followed by exactly
-    that many bytes of UTF-8 JSON — the same framing discipline as the
-    scheduler's msgpack pipes ({!Sv_sched}), with JSON payloads
-    ({!Sv_jsonx}) because requests are written by humans and foreign
-    clients. The codec here is pure (no sockets, no I/O): the
+    that many bytes of UTF-8 JSON ({!Sv_jsonx}), because requests are
+    written by humans and foreign clients. The codec here is pure (no sockets, no I/O): the
     conformance suite drives it directly, and {!Server}/{!Client} only
     add file descriptors.
 

@@ -6,16 +6,15 @@
 
     - One process, no threads. The loop multiplexes the listener and
       every client connection through [Unix.select]; request
-      {e evaluation} still fans out over the {!Sv_sched} fork pool, so
-      parallelism lives below the protocol, where byte-identity is
-      already guaranteed.
+      {e evaluation} of a TED matrix still runs its DPs on domains at
+      [jobs] ≥ 2, so parallelism lives below the protocol, where
+      byte-identity is already guaranteed.
     - Complete frames enter a FIFO request queue; one request is
       serviced per loop iteration. Admission control is at enqueue
       time: a frame arriving while the queue is at the engine's
       high-water mark is answered immediately with a typed
       [overloaded] reply (echoing the request id when parseable) and
-      never queued — load sheds as fast typed replies, not as forks or
-      hangs.
+      never queued — load sheds as fast typed replies, not as hangs.
     - Replies are written whole by the one loop thread, so a client can
       never observe a torn frame.
     - An oversized frame poisons its connection (the stream cannot be

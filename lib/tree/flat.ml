@@ -85,15 +85,19 @@ type scratch = { mutable td : int array; mutable fd : int array }
 let scratch () = { td = [||]; fd = [||] }
 let shared = scratch ()
 
-let grow cur need =
+(* [count] is false for a DP run off the main domain, which must not
+   touch the process-global counters. *)
+let grow ~count cur need =
   let cap = max need (2 * Array.length cur) in
-  T.ted.T.scratch_grows <- T.ted.T.scratch_grows + 1;
+  if count then T.ted.T.scratch_grows <- T.ted.T.scratch_grows + 1;
   Array.make cap 0
 
-let reserve ?(scratch = shared) n1 n2 =
+let fit ~count scratch n1 n2 =
   let need_td = (n1 + 1) * (n2 + 1) and need_fd = (n1 + 2) * (n2 + 2) in
-  if Array.length scratch.td < need_td then scratch.td <- grow scratch.td need_td;
-  if Array.length scratch.fd < need_fd then scratch.fd <- grow scratch.fd need_fd
+  if Array.length scratch.td < need_td then scratch.td <- grow ~count scratch.td need_td;
+  if Array.length scratch.fd < need_fd then scratch.fd <- grow ~count scratch.fd need_fd
+
+let reserve ?(scratch = shared) n1 n2 = fit ~count:true scratch n1 n2
 
 (* --- the kernel ------------------------------------------------------- *)
 
@@ -187,15 +191,27 @@ let zs ~td ~fd d1 d2 n1 n2 =
    pair the cheaper decomposition direction wins: ZS work is proportional
    to kcost₁ · kcost₂, which left- and right-leaning trees skew by large
    factors. Ties go left, keeping the choice deterministic. *)
+let use_left a b = a.left.kcost * b.left.kcost <= a.right.kcost * b.right.kcost
+
+let zs_pair scratch a b =
+  let left = use_left a b in
+  let d1 = if left then a.left else a.right in
+  let d2 = if left then b.left else b.right in
+  zs ~td:scratch.td ~fd:scratch.fd d1 d2 a.size b.size
+
+let count_dp a b =
+  if use_left a b then T.ted.T.strategy_left <- T.ted.T.strategy_left + 1
+  else T.ted.T.strategy_right <- T.ted.T.strategy_right + 1;
+  T.ted.T.dp_runs <- T.ted.T.dp_runs + 1
+
 let run_dp ~scratch a b =
   reserve ~scratch a.size b.size;
-  let use_left = a.left.kcost * b.left.kcost <= a.right.kcost * b.right.kcost in
-  if use_left then T.ted.T.strategy_left <- T.ted.T.strategy_left + 1
-  else T.ted.T.strategy_right <- T.ted.T.strategy_right + 1;
-  T.ted.T.dp_runs <- T.ted.T.dp_runs + 1;
-  let d1 = if use_left then a.left else a.right in
-  let d2 = if use_left then b.left else b.right in
-  zs ~td:scratch.td ~fd:scratch.fd d1 d2 a.size b.size
+  count_dp a b;
+  zs_pair scratch a b
+
+let dp ?(scratch = shared) a b =
+  fit ~count:false scratch a.size b.size;
+  zs_pair scratch a b
 
 (* Equality is physical only: callers that can tell equal trees apart
    cheaply (the divergence layer, by intern id) do so before calling in,

@@ -14,16 +14,17 @@
     two kernels cell by cell over whole corpora.
 
     Counters for equality shortcuts, DP runs, compiles and strategy
-    picks accumulate in {!Sv_perf.Telemetry.ted}. *)
+    picks accumulate in {!Sv_perf.Telemetry.ted}; {!dp} touches none, so
+    it may run off the main domain. *)
 
 type t
 (** A compiled tree. Immutable; safe to share across any number of
-    distance calls (and, via fork, across worker processes). *)
+    distance calls and domains. *)
 
 type scratch
 (** Reusable DP buffers (the td and fd tables), grown geometrically and
     never cleared. One scratch must not be used concurrently; one per
-    worker is the intended shape. *)
+    domain is the intended shape. *)
 
 val of_tree : int Tree.t -> t
 (** [of_tree t] compiles [t]. O(n); performed once per distinct tree by
@@ -45,3 +46,15 @@ val distance : ?scratch:scratch -> t -> t -> int
     flats of one tree run the DP (callers that intern trees, like the
     divergence layer, decide equality by intern id before calling).
     [scratch] defaults to the process-shared context. *)
+
+val dp : ?scratch:scratch -> t -> t -> int
+(** [dp a b] is the DP {!distance} runs for [a] and [b] (no equality
+    shortcut), growing [scratch] as needed, with no counter touched:
+    safe on any domain, as long as no other domain uses the same
+    scratch at the same time. [scratch] defaults to the process-shared
+    context. *)
+
+val count_dp : t -> t -> unit
+(** [count_dp a b] bumps exactly the counters [distance a b] bumps for
+    its DP (a run and its strategy pick), for a caller that took the
+    result from {!dp}. *)

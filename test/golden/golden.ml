@@ -3,7 +3,7 @@
    FILE is a sequence of blocks: a line "$ NAME ARG..." followed by the
    exact stdout of that command. Every command runs again, PROG standing
    for NAME, with every SV_* variable removed from its environment (so a
-   caller's SV_INDEX_CACHE, SV_JOBS or SV_FAULT cannot change a byte),
+   caller's SV_INDEX_CACHE or SV_METRIC_CACHE cannot change a byte),
    and the fresh transcript must equal FILE; a nonzero exit shows as an
    "[exit N]" line. On a difference the fresh transcript is written to
    FILE.actual, `diff -u` shows it, and the exit status is 1: copy

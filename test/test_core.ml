@@ -550,12 +550,13 @@ let test_memo_keys_on_content () =
 
 (* Seeded mutants and grown variants of BabelStream through the whole
    engine, at a size that runs in seconds: the engine indexes them
-   exactly as the pipeline does, and the T_sem matrix serial, pooled
-   over a cold TED cache and warm from it, are all byte-identical. The
-   raw integer divergence the VP-tree relies on obeys the triangle
-   inequality on every triple, and the VP-tree answers every member's
-   k-NN exactly as a brute-force sort whether built cold or reloaded
-   from a persisted metric cache (with zero build evaluations). *)
+   exactly as the pipeline does, and the T_sem matrix serial, run on
+   domains over a cold TED cache and warm from it, are all
+   byte-identical. The raw integer divergence the VP-tree relies on
+   obeys the triangle inequality on every triple, and the VP-tree
+   answers every member's k-NN exactly as a brute-force sort whether
+   built cold or reloaded from a persisted metric cache (with zero build
+   evaluations). *)
 let gen_cbs =
   lazy (Option.get (Sv_core.Apps.corpus_of_app "gen:mixed:babelstream:8:8"))
 let gen_ixs = lazy (Sv_core.Index_engine.index_many (Lazy.force gen_cbs))
@@ -578,7 +579,7 @@ let test_generated_matrix_identical () =
   in
   let serial = matrix ~jobs:1 ~cache:None in
   let cache = Sv_db.Codebase_db.Ted_cache.create () in
-  checkb "pooled matrix over a cold cache identical" true
+  checkb "jobs 2 matrix over a cold cache identical" true
     (matrix ~jobs:2 ~cache:(Some cache) = serial);
   checkb "warm-cache matrix identical" true
     (matrix ~jobs:1 ~cache:(Some cache) = serial);
@@ -823,6 +824,128 @@ let test_scenario_stages () =
   checkb "stage 3 nominates an alternative" true
     ((List.nth stages 2).Sv_core.Navigation.best_alternative <> None)
 
+(* --- differential: serial against domains and against the TED cache --- *)
+
+(* This suite runs matrices at jobs >= 2, which spawn domains, so it must
+   never fork (OCaml 5.1 refuses [Unix.fork] after a domain was
+   spawned); it starts the CLI through [Unix.create_process] only. A
+   slice of BabelStream spans the model families: serial baseline,
+   directives, library, offload. *)
+let stream_slice =
+  lazy
+    (List.filter
+       (fun (c : Pipeline.indexed) ->
+         List.mem c.Pipeline.ix_model [ "serial"; "omp"; "kokkos"; "cuda"; "stdpar" ])
+       (Lazy.force stream))
+
+let matrix_with ?(metric = Tbmd.TSem) ~jobs ~cache ixs =
+  Tbmd.clear_memo ();
+  Tbmd.set_jobs jobs;
+  Tbmd.set_ted_cache cache;
+  Fun.protect
+    ~finally:(fun () ->
+      Tbmd.set_jobs 1;
+      Tbmd.set_ted_cache None)
+    (fun () -> Tbmd.matrix metric ixs)
+
+(* Byte-identical, not approximately equal: render both matrices and
+   compare the strings too, so even formatting-visible drift fails. *)
+let render (m : Sv_cluster.Cluster.matrix) =
+  String.concat "\n"
+    (Array.to_list
+       (Array.map
+          (fun row ->
+            String.concat " "
+              (Array.to_list (Array.map (Printf.sprintf "%.17g") row)))
+          m.Sv_cluster.Cluster.data))
+
+let check_same_matrix what (a : Sv_cluster.Cluster.matrix) (b : Sv_cluster.Cluster.matrix) =
+  checkb (what ^ ": labels equal") true (a.Sv_cluster.Cluster.labels = b.Sv_cluster.Cluster.labels);
+  checkb (what ^ ": float data identical") true (a.Sv_cluster.Cluster.data = b.Sv_cluster.Cluster.data);
+  Alcotest.(check string) (what ^ ": rendered bytes identical") (render a) (render b)
+
+let test_parallel_matrix_identical () =
+  let ixs = Lazy.force stream_slice in
+  check_same_matrix "jobs 3"
+    (matrix_with ~jobs:1 ~cache:None ixs)
+    (matrix_with ~jobs:3 ~cache:None ixs)
+
+(* Far more domains asked for than the host has or the matrix has DPs:
+   the count is clamped, and the answer is still the serial one. *)
+let test_many_jobs_identical () =
+  let ixs = Lazy.force stream_slice in
+  List.iter
+    (fun metric ->
+      check_same_matrix
+        ("jobs 64, " ^ Tbmd.metric_label metric)
+        (matrix_with ~metric ~jobs:1 ~cache:None ixs)
+        (matrix_with ~metric ~jobs:64 ~cache:None ixs))
+    [ Tbmd.TSrc; Tbmd.TSem; Tbmd.TIr ]
+
+(* The DPs run off the main domain, but the TED counters, bumped on the
+   main domain only, read what a serial run reads. *)
+let test_parallel_counters () =
+  let module T = Sv_perf.Telemetry in
+  let ixs = Lazy.force stream_slice in
+  (* compile every flat first, so neither run below compiles one *)
+  ignore (matrix_with ~jobs:1 ~cache:None ixs);
+  let counted ~jobs ~cache =
+    let before = T.ted_snapshot () in
+    ignore (matrix_with ~jobs ~cache ixs);
+    T.ted_rows (T.ted_diff ~before ~after:(T.ted_snapshot ()))
+  in
+  let serial = counted ~jobs:1 ~cache:None in
+  checkb "the serial matrix runs DPs" true (List.assoc "DP runs" serial > 0);
+  Alcotest.(check (list (pair string int)))
+    "jobs 2 counters equal jobs 1" serial (counted ~jobs:2 ~cache:None);
+  let module Tc = Sv_db.Codebase_db.Ted_cache in
+  let c1 = Tc.create () and c2 = Tc.create () in
+  Alcotest.(check (list (pair string int)))
+    "cold-cache counters equal" (counted ~jobs:1 ~cache:(Some c1))
+    (counted ~jobs:2 ~cache:(Some c2));
+  checki "cache hits equal" (Tc.hits c1) (Tc.hits c2);
+  checki "cache misses equal" (Tc.misses c1) (Tc.misses c2);
+  let misses = Tc.misses c2 in
+  let warm = counted ~jobs:2 ~cache:(Some c2) in
+  checki "a warm jobs 2 matrix runs no DP" 0 (List.assoc "DP runs" warm);
+  checki "and misses nothing" misses (Tc.misses c2)
+
+let test_cached_matrix_identical () =
+  let module Tc = Sv_db.Codebase_db.Ted_cache in
+  let ixs = Lazy.force stream_slice in
+  let serial = matrix_with ~jobs:1 ~cache:None ixs in
+  let serial_cache = Tc.create () in
+  ignore (matrix_with ~jobs:1 ~cache:(Some serial_cache) ixs);
+  let cache = Tc.create () in
+  let cold = matrix_with ~jobs:2 ~cache:(Some cache) ixs in
+  let entries_after_cold = Tc.size cache in
+  let warm = matrix_with ~jobs:1 ~cache:(Some cache) ixs in
+  checkb "cold cached matrix identical" true
+    (serial.Sv_cluster.Cluster.data = cold.Sv_cluster.Cluster.data);
+  checkb "warm cached matrix identical" true
+    (serial.Sv_cluster.Cluster.data = warm.Sv_cluster.Cluster.data);
+  checkb "the parallel run recorded entries" true (entries_after_cold > 0);
+  Alcotest.(check string)
+    "its cache image equals the serial run's" (Tc.save serial_cache) (Tc.save cache);
+  checki "warm run added nothing" entries_after_cold (Tc.size cache);
+  checkb "warm run hit the cache" true (Tc.hits cache > 0)
+
+let test_cache_save_load_roundtrip () =
+  let module Tc = Sv_db.Codebase_db.Ted_cache in
+  let ixs = Lazy.force stream_slice in
+  let cache = Tc.create () in
+  let m1 = matrix_with ~jobs:1 ~cache:(Some cache) ixs in
+  let reloaded =
+    match Tc.load (Tc.save cache) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "cache round-trip failed: %s" e
+  in
+  checki "entry count survives" (Tc.size cache) (Tc.size reloaded);
+  let m2 = matrix_with ~jobs:1 ~cache:(Some reloaded) ixs in
+  checkb "matrix from reloaded cache identical" true
+    (m1.Sv_cluster.Cluster.data = m2.Sv_cluster.Cluster.data);
+  checki "reloaded cache fully warm" 0 (Tc.misses reloaded)
+
 let () =
   Alcotest.run "core"
     [
@@ -882,6 +1005,19 @@ let () =
             test_generated_metric_index;
           Alcotest.test_case "nearest after matrix runs no DP" `Quick
             test_nearest_after_matrix;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "parallel matrix identical" `Quick
+            test_parallel_matrix_identical;
+          Alcotest.test_case "jobs 64 matrix identical" `Quick
+            test_many_jobs_identical;
+          Alcotest.test_case "parallel counters equal serial" `Quick
+            test_parallel_counters;
+          Alcotest.test_case "cached matrix identical" `Quick
+            test_cached_matrix_identical;
+          Alcotest.test_case "cache save/load round-trip" `Quick
+            test_cache_save_load_roundtrip;
         ] );
       ( "integration",
         [

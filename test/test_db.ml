@@ -140,24 +140,13 @@ let test_ted_cache_find_symmetric () =
   checkb "absent" true (Tc.find c "aaaa" "cccc" = None);
   checki "hits" 2 (Tc.hits c);
   checki "misses" 1 (Tc.misses c);
-  Alcotest.(check (list (triple string string int)))
-    "journal drains once" [ ("aaaa", "bbbb", 7) ] (Tc.drain_additions c);
-  checkb "journal empty after drain" true (Tc.drain_additions c = [])
-
-let test_ted_cache_merge_defensive () =
-  let d16 c = String.make 16 c in
-  let c = Tc.create () in
-  Tc.merge c [ (d16 'a', d16 'b', 7) ];
-  checki "valid entry merged" 1 (Tc.size c);
-  (* duplicates, reversed order and conflicting re-sends (a degraded run
-     handing the same pair over twice) never tear or clobber the entry *)
-  Tc.merge c [ (d16 'a', d16 'b', 7); (d16 'b', d16 'a', 99) ];
-  checki "idempotent under re-merge" 1 (Tc.size c);
-  checkb "first value wins" true (Tc.find c (d16 'a') (d16 'b') = Some 7);
-  (* entries mangled by a faulted worker pipe are dropped, not stored torn *)
-  Tc.merge c [ ("short", d16 'c', 3); (d16 'c', d16 'd', -1); ("", "", 0) ];
-  checki "malformed entries dropped" 1 (Tc.size c);
-  checkb "merge never journals" true (Tc.drain_additions c = [])
+  checkb "mem reversed" true (Tc.mem c "bbbb" "aaaa");
+  checkb "mem absent" false (Tc.mem c "aaaa" "cccc");
+  checki "mem counts no hit" 2 (Tc.hits c);
+  checki "mem counts no miss" 1 (Tc.misses c);
+  Tc.add c "bbbb" "aaaa" 99;
+  checki "re-adding a pair keeps one entry" 1 (Tc.size c);
+  checkb "first value wins" true (Tc.find c "aaaa" "bbbb" = Some 7)
 
 let gen_cache_entries =
   QCheck.Gen.(
@@ -170,7 +159,7 @@ let prop_ted_cache_roundtrip =
   QCheck.Test.make ~name:"ted cache artifact round-trip" ~count:200 arb_cache_entries
     (fun entries ->
       let c = Tc.create () in
-      Tc.merge c entries;
+      List.iter (fun (a, b, d) -> Tc.add c a b d) entries;
       match Tc.load (Tc.save c) with
       | Error _ -> false
       | Ok c' ->
@@ -184,7 +173,7 @@ let prop_ted_cache_truncation =
     QCheck.(pair arb_cache_entries (int_bound 100_000))
     (fun (entries, cut_seed) ->
       let c = Tc.create () in
-      Tc.merge c entries;
+      List.iter (fun (a, b, d) -> Tc.add c a b d) entries;
       let art = Tc.save c in
       let cut = cut_seed mod String.length art in
       Result.is_error (Tc.load (String.sub art 0 cut)))
@@ -913,7 +902,6 @@ let () =
         [
           Alcotest.test_case "digest is loc-blind" `Quick test_ted_cache_digest_loc_blind;
           Alcotest.test_case "find is symmetric" `Quick test_ted_cache_find_symmetric;
-          Alcotest.test_case "merge is defensive" `Quick test_ted_cache_merge_defensive;
         ] );
       ( "index-cache",
         [

@@ -445,7 +445,7 @@ let temp_socket () =
   Sys.remove path;
   path
 
-let fork_daemon ?(jobs = 1) ?(high_water = 8) ?fault () =
+let fork_daemon ?(jobs = 1) ?(high_water = 8) () =
   let socket = temp_socket () in
   flush stdout;
   flush stderr;
@@ -455,9 +455,6 @@ let fork_daemon ?(jobs = 1) ?(high_water = 8) ?fault () =
        (* the child inherits whatever serve counters the in-process
           conformance tests accumulated; a daemon starts at zero *)
        Sv_perf.Telemetry.reset_serve ();
-       (match fault with
-       | Some spec -> Sv_sched.Sched.Fault.set spec
-       | None -> ());
        Server.serve ~socket
          (Engine.create
             {
