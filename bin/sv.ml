@@ -11,12 +11,20 @@
      chart    navigation chart (Phi vs TBMD)
      verify   run every port's built-in verification
      gen      emit a seeded synthetic corpus of verified program variants
-     models   list apps, models and platforms *)
+     models   list apps, models and platforms
+     serve    run the resident daemon on a Unix domain socket
+     client   send one request to the daemon (in-process when none listens)
+
+   compare, cluster and nearest are one request each to a
+   {!Sv_serve.Engine} built from the command's flags, the evaluator the
+   daemon runs, so both print the same bytes; index and verify read the
+   interpreter's results inside the engine's installed caches. Each
+   command then persists the caches it was given and prints their ledger
+   lines. *)
 
 open Cmdliner
 
 module Pipeline = Sv_core.Pipeline
-module Tbmd = Sv_core.Tbmd
 module Report = Sv_report.Report
 module Apps = Sv_core.Apps
 module Gen = Sv_gen.Gen
@@ -112,65 +120,58 @@ let stats_arg =
            without a DP (equal trees), DP runs, flat compiles, and \
            left/right strategy picks.")
 
-(* Append a cache's new entries to its file and print its ledger line.
-   The line ends "(saved to PATH)" also when the run added nothing and so
-   wrote nothing: its wording does not depend on what was written. *)
-let persist what path stats fresh save =
-  match save () with
-  | () -> Printf.printf "%s, %d new (saved to %s)\n" stats fresh path
-  | exception Sys_error msg ->
-      Printf.eprintf "sv: warning: %s not saved: %s\n" what msg
+(* The engine configuration a command's flags select: the daemon, the
+   client's in-process fallback and the one-shot commands all build
+   their engine from it. *)
+let engine_config ?(jobs = 1) ?lru_mb ?(high_water = 8) ?ted_cache
+    ?index_cache ?metric_cache () =
+  let base = Engine.default_config () in
+  {
+    base with
+    Engine.jobs;
+    lru_budget =
+      (match lru_mb with
+      | Some mb when mb > 0 -> mb * 1024 * 1024
+      | _ -> base.Engine.lru_budget);
+    high_water;
+    ted_cache_path = ted_cache;
+    index_cache_path = index_cache;
+    metric_cache_path = metric_cache;
+  }
 
-(* Configure the engines around [f]: resolve the worker count,
-   load/install the persistent TED and index caches, and on the way out
-   persist the caches and reset both engines so one subcommand cannot
-   leak state into a later library use of Tbmd or Index_engine. *)
-let with_engine ?index_cache ?metric_cache ~jobs ~ted_cache f =
-  let jobs = if jobs <= 0 then Tbmd.default_jobs () else jobs in
-  Tbmd.set_jobs jobs;
-  (match ted_cache with
-  | Some path ->
-      Tbmd.set_ted_cache (Some (Sv_db.Codebase_db.Ted_cache.load_file path))
-  | None -> ());
-  (match index_cache with
-  | Some path ->
-      Sv_core.Index_engine.set_cache (Some (Sv_db.Index_cache.load_file path))
-  | None -> ());
-  (match metric_cache with
-  | Some path ->
-      Tbmd.set_metric_cache (Some (Sv_db.Metric_cache.load_file path))
-  | None -> ());
-  let finish () =
-    (match (ted_cache, Tbmd.ted_cache ()) with
-    | Some path, Some c ->
-        let module C = Sv_db.Codebase_db.Ted_cache in
-        persist "ted-cache" path (C.stats c) (C.pending c) (fun () ->
-            C.save_file path c)
-    | _ -> ());
-    (match (index_cache, Sv_core.Index_engine.cache ()) with
-    | Some path, Some c ->
-        let module C = Sv_db.Index_cache in
-        persist "index-cache" path (C.stats c) (C.pending c) (fun () ->
-            C.save_file path c)
-    | _ -> ());
-    (match (metric_cache, Tbmd.metric_cache ()) with
-    | Some path, Some c ->
-        let module C = Sv_db.Metric_cache in
-        persist "metric-cache" path (C.stats c) (C.pending c) (fun () ->
-            C.save_file path c)
-    | _ -> ());
-    Sv_core.Index_engine.set_cache None;
-    Tbmd.set_metric_cache None;
-    Tbmd.set_ted_cache None;
-    Tbmd.set_jobs 1
+(* Print a reply the way both the one-shot commands and `sv client` do:
+   output and status on stdout, typed errors as the command's error. *)
+let print_reply = function
+  | Protocol.Output { output; _ } ->
+      print_string output;
+      `Ok ()
+  | Protocol.Status_of fields ->
+      List.iter
+        (fun (k, v) -> Printf.printf "%-14s %s\n" k (Sv_jsonx.Jsonx.to_string v))
+        fields;
+      `Ok ()
+  | Protocol.Shutdown_ack ->
+      print_endline "shutdown acknowledged";
+      `Ok ()
+  | Protocol.Error { kind; message } ->
+      fail "%s: %s" (Protocol.kind_to_string kind) message
+  | Protocol.Overloaded { queue; high_water } ->
+      fail "daemon overloaded (queue %d at high-water %d); retry later" queue
+        high_water
+
+(* Evaluate one request on an engine built from the command's flags,
+   print the reply, then [footer], then persist the caches with their
+   ledger lines. *)
+let one_shot ?(footer = ignore) ~jobs ?ted_cache ?index_cache ?metric_cache req =
+  let engine =
+    Engine.create (engine_config ~jobs ?ted_cache ?index_cache ?metric_cache ())
   in
-  match f () with
-  | r ->
-      finish ();
-      r
-  | exception e ->
-      finish ();
-      raise e
+  match print_reply (Engine.handle engine req) with
+  | `Ok () ->
+      footer ();
+      Engine.persist ~ledger:true engine;
+      `Ok ()
+  | err -> err
 
 (* --- commands --- *)
 
@@ -247,15 +248,17 @@ let index_cmd =
         match find_codebase ~app cbs model with
         | None -> fail "app %s has no model %s" app model
         | Some cb ->
-            with_engine ?index_cache ~jobs:1 ~ted_cache:None
-            @@ fun () ->
-            let ix = Sv_core.Index_engine.index cb in
+            let engine = Engine.create (engine_config ?index_cache ()) in
+            let ix =
+              Engine.with_installed engine (fun () -> Sv_core.Index_engine.index cb)
+            in
             let bytes = Sv_db.Codebase_db.save (Pipeline.to_db ix) in
             let oc = open_out_bin out in
             output_string oc bytes;
             close_out oc;
             print_string (Engine.render_index ix);
             Printf.printf "saved Codebase DB to %s (%d bytes)\n" out (String.length bytes);
+            Engine.persist ~ledger:true engine;
             `Ok ())
   in
   let out =
@@ -298,22 +301,12 @@ let inspect_cmd =
 
 let compare_cmd =
   let run app base target jobs ted_cache index_cache stats =
-    with_app app (fun cbs ->
-        match (find_codebase ~app cbs base, find_codebase ~app cbs target) with
-        | Some b, Some t ->
-            with_engine ?index_cache ~jobs ~ted_cache @@ fun () ->
-            if stats then Sv_perf.Telemetry.reset_ted ();
-            let bix, tix =
-              match Sv_core.Index_engine.index_many ~run:false [ b; t ] with
-              | [ bix; tix ] -> (bix, tix)
-              | _ -> assert false
-            in
-            print_string (Engine.render_compare ~app ~base ~target bix tix);
-            if stats then
-              Printf.printf "%s\n"
-                (Sv_perf.Telemetry.ted_to_string Sv_perf.Telemetry.ted);
-            `Ok ()
-        | _ -> fail "unknown model (base %s / target %s)" base target)
+    if stats then Sv_perf.Telemetry.reset_ted ();
+    one_shot ~jobs ?ted_cache ?index_cache
+      ~footer:(fun () ->
+        if stats then
+          print_endline (Sv_perf.Telemetry.ted_to_string Sv_perf.Telemetry.ted))
+      (Protocol.Compare { app; base; target })
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Divergence of a target model from a base model.")
@@ -326,14 +319,7 @@ let compare_cmd =
 
 let cluster_cmd =
   let run app metric jobs ted_cache index_cache =
-    match Tbmd.metric_of_string metric with
-    | None -> fail "unknown metric %S" metric
-    | Some m ->
-        with_app app (fun cbs ->
-            with_engine ?index_cache ~jobs ~ted_cache @@ fun () ->
-            let ixs = Sv_core.Index_engine.index_many ~run:false cbs in
-            print_string (Engine.render_cluster m ixs);
-            `Ok ())
+    one_shot ~jobs ?ted_cache ?index_cache (Protocol.Cluster { app; metric })
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -346,31 +332,8 @@ let cluster_cmd =
 let nearest_cmd =
   let run app model k metric budget epsilon jobs ted_cache index_cache
       metric_cache =
-    match Tbmd.metric_of_string metric with
-    | None -> fail "unknown metric %S" metric
-    | Some m ->
-        if k <= 0 then fail "--k must be at least 1 (got %d)" k
-        else if (match budget with Some b -> b < 0 | None -> false) then
-          fail "--budget must be non-negative (got %d)" (Option.get budget)
-        else if
-          match epsilon with
-          | Some e -> (not (Float.is_finite e)) || e < 0.
-          | None -> false
-        then fail "--epsilon must be a finite number >= 0"
-        else
-          with_app app (fun cbs ->
-              match find_codebase ~app cbs model with
-              | None -> fail "app %s has no model %s" app model
-              | Some cb ->
-                  with_engine ?index_cache ?metric_cache ~jobs ~ted_cache
-                   
-                  @@ fun () ->
-                  let ixs = Sv_core.Index_engine.index_many ~run:false cbs in
-                  let qix = List.assq cb (List.combine cbs ixs) in
-                  print_string
-                    (Engine.render_nearest ~app ~model ~k ?budget ?epsilon m
-                       qix ixs);
-                  `Ok ())
+    one_shot ~jobs ?ted_cache ?index_cache ?metric_cache
+      (Protocol.Nearest { app; model; metric; k; budget; epsilon })
   in
   let k_arg =
     Arg.(value & opt int 3 & info [ "k" ] ~docv:"K"
@@ -430,7 +393,7 @@ let chart_cmd =
 let verify_cmd =
   let run app index_cache =
     with_app app (fun cbs ->
-        with_engine ?index_cache ~jobs:1 ~ted_cache:None @@ fun () ->
+        let engine = Engine.create (engine_config ?index_cache ()) in
         let all_ok = ref true in
         List.iter
           (fun (ix : Pipeline.indexed) ->
@@ -442,7 +405,9 @@ let verify_cmd =
             if not ok then all_ok := false;
             Printf.printf "  %-14s %s\n" ix.Pipeline.ix_model
               (if ok then "PASSED" else "FAILED"))
-          (Sv_core.Index_engine.index_many cbs);
+          (Engine.with_installed engine (fun () ->
+               Sv_core.Index_engine.index_many cbs));
+        Engine.persist ~ledger:true engine;
         if !all_ok then `Ok () else fail "some ports failed verification")
   in
   Cmd.v
@@ -613,33 +578,20 @@ let resolve_socket = function
   | Some s -> s
   | None -> Sv_serve.Server.default_socket ()
 
-let engine_config jobs lru_mb high_water ted_cache index_cache metric_cache =
-  let base = Engine.default_config () in
-  {
-    base with
-    Engine.jobs;
-    lru_budget =
-      (match lru_mb with
-      | Some mb when mb > 0 -> mb * 1024 * 1024
-      | _ -> base.Engine.lru_budget);
-    high_water;
-    ted_cache_path = ted_cache;
-    index_cache_path = index_cache;
-    metric_cache_path = metric_cache;
-  }
-
 let serve_cmd =
   let run socket jobs lru_mb high_water ted_cache index_cache metric_cache =
-    let cfg =
-      engine_config jobs lru_mb high_water ted_cache index_cache metric_cache
+    let engine =
+      Engine.create
+        (engine_config ~jobs ?lru_mb ~high_water ?ted_cache ?index_cache
+           ?metric_cache ())
     in
+    let cfg = Engine.config engine in
     let socket = resolve_socket socket in
-    match Sv_serve.Server.create ~socket (Engine.create cfg) with
+    match Sv_serve.Server.create ~socket engine with
     | exception Failure msg -> fail "%s" msg
     | server ->
-        let cfg_jobs = if jobs <= 0 then Tbmd.default_jobs () else jobs in
         Printf.printf "sv serve: listening on %s (jobs %d, lru %d MiB, high-water %d)\n%!"
-          socket cfg_jobs
+          socket cfg.Engine.jobs
           (cfg.Engine.lru_budget / (1024 * 1024))
           high_water;
         Sv_serve.Server.run server;
@@ -649,9 +601,9 @@ let serve_cmd =
   let lru_mb =
     Arg.(value & opt (some int) None
          & info [ "lru-mb" ] ~env:(Cmd.Env.info "SV_LRU_MB") ~docv:"MB"
-             ~doc:"Resident-codebase LRU budget in MiB (default 64). Evicted \
-                   entries spill into the persistent index cache, so \
-                   eviction costs a decode, never a re-index.")
+             ~doc:"Resident-codebase LRU budget in MiB (default 64). Every \
+                   resident is also held in the index cache, so eviction \
+                   costs a decode, never a re-index.")
   in
   let high_water =
     Arg.(value & opt int 8
@@ -710,36 +662,19 @@ let client_cmd =
     | Error msg -> fail "%s" msg
     | Ok req -> (
         let config =
-          engine_config jobs None 8 ted_cache index_cache metric_cache
+          engine_config ~jobs ?ted_cache ?index_cache ?metric_cache ()
         in
         match
           Sv_serve.Client.call_or_fallback ~socket:(resolve_socket socket)
             ~config req
         with
         | Error msg -> fail "%s" msg
-        | Ok (resp, path) -> (
+        | Ok (resp, path) ->
             (match path with
             | `Local ->
                 Printf.eprintf "sv client: no daemon; evaluated in-process\n%!"
             | `Daemon -> ());
-            match resp with
-            | Protocol.Output { output; _ } ->
-                print_string output;
-                `Ok ()
-            | Protocol.Status_of fields ->
-                List.iter
-                  (fun (k, v) ->
-                    Printf.printf "%-14s %s\n" k (Sv_jsonx.Jsonx.to_string v))
-                  fields;
-                `Ok ()
-            | Protocol.Shutdown_ack ->
-                print_endline "shutdown acknowledged";
-                `Ok ()
-            | Protocol.Error { kind; message } ->
-                fail "%s: %s" (Protocol.kind_to_string kind) message
-            | Protocol.Overloaded { queue; high_water } ->
-                fail "daemon overloaded (queue %d at high-water %d); retry later"
-                  queue high_water))
+            print_reply resp)
   in
   let verb =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"VERB"

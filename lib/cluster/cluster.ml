@@ -20,16 +20,6 @@ let of_fn ?(symmetric = false) labels f =
   in
   { labels; data }
 
-(* Same tabulation with a caller-owned context threaded through every
-   cell. [init] runs exactly once, before the first evaluation, so an
-   expensive per-matrix resource — a TED scratch buffer, a cache handle —
-   is shared by the whole row sweep instead of re-created per cell.
-   Evaluation order is identical to [of_fn] (row-major; upper triangle
-   row-major when symmetric), so matrices come out byte-identical. *)
-let of_fn_ctx ?(symmetric = false) ~init ~f labels =
-  let ctx = init () in
-  of_fn ~symmetric labels (fun i j -> f ctx i j)
-
 let row_euclidean m =
   let n = Array.length m.labels in
   let dist i j =

@@ -19,19 +19,6 @@ val of_fn : ?symmetric:bool -> string array -> (int -> int -> float) -> matrix
     unordered pair is evaluated once ([j >= i]) and mirrored, halving
     the number of [f] calls while producing the identical matrix. *)
 
-val of_fn_ctx :
-  ?symmetric:bool ->
-  init:(unit -> 'ctx) ->
-  f:('ctx -> int -> int -> float) ->
-  string array ->
-  matrix
-(** [of_fn_ctx ~init ~f labels] is {!of_fn} with a per-matrix context:
-    [init ()] runs exactly once and its result is passed to every [f]
-    call, so an expensive resource (a DP scratch buffer, a cache handle)
-    is allocated once for the whole sweep rather than per cell. Cell
-    evaluation order is identical to {!of_fn}, so for the same underlying
-    function the matrices are byte-identical. *)
-
 val row_euclidean : matrix -> matrix
 (** [row_euclidean m] is the symmetric matrix of Euclidean distances
     between rows of [m] — the "Euclidean distance between points" step

@@ -43,6 +43,8 @@ let find c k =
       c.misses <- c.misses + 1;
       None
 
+let length c k = Option.map String.length (Store.find c.store k)
+
 let valid_entry k payload = String.length k = 16 && String.length payload > 0
 
 let add c k payload =

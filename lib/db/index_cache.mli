@@ -47,6 +47,10 @@ val key :
 val find : cache -> string -> string option
 (** Look up a payload, bumping the hit/miss counters. *)
 
+val length : cache -> string -> int option
+(** Byte length of the payload stored under a key, leaving the hit/miss
+    counters alone. *)
+
 val add : cache -> string -> string -> unit
 (** [add c k payload] records a payload. Malformed entries (key not 16
     bytes, empty payload) are dropped and an existing key is never

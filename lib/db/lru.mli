@@ -7,10 +7,11 @@
     working set: each entry carries a caller-measured byte size, the
     table holds entries in recency order, and inserting past the byte
     budget evicts from the least-recently-used end, invoking an optional
-    [on_evict] callback first — which is how the daemon spills evicted
-    indexing results into the persistent cache instead of losing them
-    (eviction + reload must yield identical results; the `lru` suite in
-    `test/test_db.ml` holds that regression).
+    [on_evict] callback on each evicted entry. The daemon passes none:
+    its index cache already holds every resident's trees record, so an
+    evicted codebase reloads as a decode (eviction + reload must yield
+    identical results; test_serve's conformance suite holds that
+    regression).
 
     The most recently inserted or touched entry is never evicted, even
     when it alone exceeds the budget — a single oversized entry degrades

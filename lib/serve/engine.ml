@@ -1,5 +1,4 @@
 module J = Sv_jsonx.Jsonx
-module M = Sv_msgpack.Msgpack
 module T = Sv_perf.Telemetry
 module Pipeline = Sv_core.Pipeline
 module Tbmd = Sv_core.Tbmd
@@ -22,18 +21,10 @@ type config = {
   persist_every : int;
 }
 
-let default_lru_budget () =
-  match Sys.getenv_opt "SV_LRU_MB" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some mb when mb > 0 -> mb * 1024 * 1024
-      | _ -> 64 * 1024 * 1024)
-  | None -> 64 * 1024 * 1024
-
 let default_config () =
   {
     jobs = 1;
-    lru_budget = default_lru_budget ();
+    lru_budget = 64 * 1024 * 1024;
     high_water = 8;
     ted_cache_path = None;
     index_cache_path = None;
@@ -41,14 +32,15 @@ let default_config () =
     persist_every = 32;
   }
 
-(* A resident codebase keeps its cache payload next to the decoded form:
-   the payload is the byte size the LRU budgets, and the bytes the
-   eviction callback spills into the persistent index cache. The [index]
-   verb's text rebuilds and compresses the whole Codebase DB, so it is
-   rendered at most once per residency and dropped with the entry. *)
+(* A resident codebase is charged the byte length of its trees record,
+   which the installed index cache already holds: every resident was
+   just found in it or added to it, so eviction loses nothing and needs
+   no spill. The [index] verb's text rebuilds and compresses the whole
+   Codebase DB, so it is rendered at most once per residency and dropped
+   with the entry. *)
 type resident = {
   ix : Pipeline.indexed;
-  payload : string;
+  bytes : int;
   index_text : string Lazy.t;
 }
 
@@ -92,13 +84,7 @@ let create cfg =
     | Some path -> Metric_cache.load_file path
     | None -> Metric_cache.create ()
   in
-  let lru =
-    Lru.create
-      ~on_evict:(fun key r -> Index_cache.add index_cache key r.payload)
-      ~budget:cfg.lru_budget
-      ~size_of:(fun r -> String.length r.payload)
-      ()
-  in
+  let lru = Lru.create ~budget:cfg.lru_budget ~size_of:(fun r -> r.bytes) () in
   let vp_lru =
     Lru.create ~budget:cfg.lru_budget ~size_of:(fun r -> r.vp_bytes) ()
   in
@@ -120,8 +106,8 @@ let shutting_down t = t.shutting_down
 
 (* Install the resident caches and worker count into the process-wide
    engine hooks for the duration of [f], restoring whatever was there
-   before — an in-process fallback evaluation must not leak state into
-   the caller's later library use. *)
+   before, so an evaluation cannot leak state into the caller's later
+   library use. *)
 let with_installed t f =
   let prev_jobs = Tbmd.jobs () in
   let prev_ted = Tbmd.ted_cache () in
@@ -157,8 +143,6 @@ let render_index ix =
         (if v.Pipeline.v_ok then "PASSED" else "FAILED")
   | None -> ""
 
-let encode_payload ix = M.encode (Index_engine.indexed_to_msgpack ix)
-
 (* Resolve a list of codebases against the LRU; misses go through the
    cache-aware engine (the resident index cache is installed, so a miss
    here may still be a persistent-cache hit) and become resident.
@@ -181,7 +165,12 @@ let obtain t cbs =
         List.map2
           (fun (key, _) ix ->
             let r =
-              { ix; payload = encode_payload ix; index_text = lazy (render_index ix) }
+              {
+                ix;
+                bytes =
+                  Option.value ~default:0 (Index_cache.length t.index_cache key);
+                index_text = lazy (render_index ix);
+              }
             in
             Lru.add t.lru key r;
             (key, r))
@@ -204,7 +193,7 @@ let obtain_ix t cbs =
 (* One resident codebase with the interpreter's coverage and verdict:
    the run record is read from the index cache or computed into it, and
    the completed entry replaces the run-less one in the LRU (same
-   payload, so the same budget charge). [warm] additionally requires
+   trees record, so the same budget charge). [warm] additionally requires
    that the run was already resident. *)
 let obtain_run t cb =
   match obtain t [ cb ] with
@@ -338,22 +327,34 @@ let oversized _t ~announced ~cap =
   T.serve.T.bytes_out <- T.serve.T.bytes_out + String.length out;
   out
 
-let persist t =
-  let save what path save_file cache =
+(* The ledger line is taken before the save, whose pending entries it
+   counts. It ends "(saved to PATH)" also when the run added nothing and
+   so wrote nothing: its wording does not depend on what was written. *)
+let persist ?(ledger = false) t =
+  let save what path stats pending save_file cache =
+    let line =
+      Printf.sprintf "%s, %d new (saved to %s)" (stats cache) (pending cache) path
+    in
     match save_file path cache with
-    | () -> ()
+    | () -> if ledger then print_endline line
     | exception Sys_error msg ->
-        Printf.eprintf "sv serve: warning: %s not saved: %s\n%!" what msg
+        Printf.eprintf "sv: warning: %s not saved: %s\n%!" what msg
   in
-  (match t.cfg.ted_cache_path with
-  | Some path -> save "ted-cache" path Ted_cache.save_file t.ted_cache
-  | None -> ());
-  (match t.cfg.index_cache_path with
-  | Some path -> save "index-cache" path Index_cache.save_file t.index_cache
-  | None -> ());
-  match t.cfg.metric_cache_path with
-  | Some path -> save "metric-cache" path Metric_cache.save_file t.metric_cache
-  | None -> ()
+  Option.iter
+    (fun path ->
+      save "ted-cache" path Ted_cache.stats Ted_cache.pending Ted_cache.save_file
+        t.ted_cache)
+    t.cfg.ted_cache_path;
+  Option.iter
+    (fun path ->
+      save "index-cache" path Index_cache.stats Index_cache.pending
+        Index_cache.save_file t.index_cache)
+    t.cfg.index_cache_path;
+  Option.iter
+    (fun path ->
+      save "metric-cache" path Metric_cache.stats Metric_cache.pending
+        Metric_cache.save_file t.metric_cache)
+    t.cfg.metric_cache_path
 
 (* --- evaluation --- *)
 

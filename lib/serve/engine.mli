@@ -1,29 +1,34 @@
-(** Request evaluation against resident state — the daemon's core, and
-    the thin client's in-process fallback.
+(** Request evaluation against resident state: the one evaluator
+    behind the daemon, `sv client`'s in-process fallback and the one-shot
+    `sv compare`, `sv cluster` and `sv nearest`.
 
     One {!t} owns everything `sv serve` keeps warm between requests:
 
     - a size-bounded {!Sv_db.Lru} of decoded {!Sv_core.Pipeline.indexed}
       codebases, keyed by {!Sv_core.Pipeline.codebase_key} (so a
-      corpus edit is a structural miss, never a stale hit), spilling
-      evicted entries into the index cache. Entries are indexed without
-      a run; the [index] verb, the one verb that reads the
+      corpus edit is a structural miss, never a stale hit). Each entry
+      is charged the byte length of its trees record in the index cache,
+      which holds every resident, so an evicted entry comes back as a
+      cache hit and a decode, never a re-index. Entries are indexed
+      without a run; the [index] verb, the one verb that reads the
       interpreter's results, attaches them to its entry
       ({!Sv_core.Index_engine.with_run}) and re-adds it. Each entry
       renders its [index] reply ({!render_index}) at most once, on first
       request, and drops it on eviction;
     - a resident {!Sv_db.Index_cache}, {!Sv_db.Codebase_db.Ted_cache}
-      and {!Sv_db.Metric_cache}, loaded from disk at creation and
-      persisted back periodically and at shutdown;
+      and {!Sv_db.Metric_cache}, loaded from disk at creation (empty
+      when no path is configured) and persisted back on request
+      ({!persist}): periodically and at shutdown in the daemon, once at
+      the end of a one-shot command;
     - a second {!Sv_db.Lru} of built VP-tree metric indexes keyed by
       {!Sv_core.Tbmd.vp_key}, so repeated `nearest` requests reuse the
       resident tree instead of rebuilding it per call;
     - the engine configuration (the domain count for TED matrices).
 
     Every evaluation installs this state into the process-wide engine
-    hooks ({!Sv_core.Tbmd}, {!Sv_core.Index_engine}) and restores the
-    previous hooks after — so an in-process fallback evaluation inside
-    the CLI cannot leak state into later library use.
+    hooks ({!Sv_core.Tbmd}, {!Sv_core.Index_engine}) through
+    {!with_installed}, the one place the CLI and the service layer
+    install them, and restores the previous hooks after.
 
     The render functions are the {e single} source of the textual output
     for both the daemon and the one-shot CLI — which is what makes the
@@ -33,7 +38,7 @@ module Pipeline = Sv_core.Pipeline
 
 type config = {
   jobs : int;  (** domains for TED matrices; 0 means {!Sv_core.Tbmd.default_jobs} *)
-  lru_budget : int;  (** resident-codebase budget, bytes of encoded payload *)
+  lru_budget : int;  (** resident-codebase budget, bytes of trees records *)
   high_water : int;  (** request-queue admission mark (enforced by {!Server}) *)
   ted_cache_path : string option;
   index_cache_path : string option;
@@ -44,8 +49,8 @@ type config = {
 }
 
 val default_config : unit -> config
-(** Defaults: [jobs = 1], [lru_budget] from [SV_LRU_MB] (default 64 MiB),
-    [high_water = 8], no cache paths, [persist_every = 32]. *)
+(** Defaults: [jobs = 1], [lru_budget] 64 MiB, [high_water = 8], no
+    cache paths, [persist_every = 32]. *)
 
 type t
 
@@ -81,10 +86,19 @@ val oversized : t -> announced:int -> cap:int -> string
 (** The encoded typed error for a frame announcing more payload bytes
     than the cap allows, accounted as an error reply. *)
 
-val persist : t -> unit
-(** Save the resident TED and index caches to their configured paths
-    (no-op for unconfigured paths; save failures are reported on stderr,
-    never raised — a daemon must not die because a disk filled). *)
+val with_installed : t -> (unit -> 'a) -> 'a
+(** [with_installed t f] runs [f] with the engine's caches and domain
+    count installed into the process-wide hooks, restoring the previous
+    hooks after (also when [f] raises). `sv index` and `sv verify`, which
+    need the interpreter's results, index through it. *)
+
+val persist : ?ledger:bool -> t -> unit
+(** Save the resident TED, index and metric caches to their configured
+    paths (no-op for unconfigured paths; save failures are reported on
+    stderr as [sv: warning: <cache> not saved: <reason>], never raised —
+    a daemon must not die because a disk filled). With [~ledger:true]
+    (the one-shot CLI) each saved cache also prints its line on stdout:
+    its stats before the save, then [, N new (saved to PATH)]. *)
 
 val status_fields : t -> (string * Sv_jsonx.Jsonx.t) list
 (** The [status] verb's payload: serve counters, queue depth and

@@ -1,7 +1,9 @@
 (* Chaos suite: the persistent store under killed and concurrent
    writers, the CLI over damaged or outdated cache files, and the
    parallel engine (a `sv serve` daemon whose matrices run on domains,
-   the CLI at `-j 2`) against the serial answer, byte for byte.
+   the CLI at `-j 2`) against the serial answer, byte for byte. The
+   `cli` group pins the one-shot CLI's cache ledger and typed errors,
+   which it takes from the engine it evaluates on.
 
    This suite forks writers and daemons, and OCaml 5.1 refuses
    [Unix.fork] in a process that has ever spawned a domain: nothing in
@@ -220,18 +222,24 @@ let test_store_two_writers () =
 let sv_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/sv.exe"
 
-let run_sv args =
+(* Run sv with [args]: exit status, stdout and stderr. *)
+let run_sv_full args =
   let out = Filename.temp_file "sv_chaos_out" ".txt" in
-  Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+  let err = Filename.temp_file "sv_chaos_err" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove out; Sys.remove err) @@ fun () ->
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let efd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
   let pid =
-    Unix.create_process sv_exe (Array.of_list (sv_exe :: args)) Unix.stdin fd devnull
+    Unix.create_process sv_exe (Array.of_list (sv_exe :: args)) Unix.stdin fd efd
   in
   Unix.close fd;
-  Unix.close devnull;
+  Unix.close efd;
   let status = match Unix.waitpid [] pid with _, Unix.WEXITED n -> n | _ -> -1 in
-  (status, read_file out)
+  (status, read_file out, read_file err)
+
+let run_sv args =
+  let status, out, _ = run_sv_full args in
+  (status, out)
 
 let compare_args ~ted ~index =
   [ "compare"; "-a"; "babelstream-f"; "-b"; "sequential"; "-t"; "omp"; "-j"; "1";
@@ -384,6 +392,75 @@ let test_cli_jobs_identical () =
           (fun l -> List.hd (String.split_on_char '(' l) |> String.trim)
           (String.split_on_char '\n' warm2)))
 
+(* --- the one-shot CLI as engine requests --- *)
+
+let nearest_table =
+  {|nearest babelstream: serial (T_sem, k=3)
+┌────────┬────────┬─────┬────────────┐
+│ model  │ name   │ d   │ normalised │
+├────────┼────────┼─────┼────────────┤
+│ omp    │ OpenMP │ 53  │ 0.117      │
+│ stdpar │ StdPar │ 154 │ 0.308      │
+│ tbb    │ TBB    │ 194 │ 0.331      │
+└────────┴────────┴─────┴────────────┘
+index evaluations: 5 of 9 candidates
+|}
+
+(* `sv nearest --metric-cache F` prints the table and then the ledger
+   line: a cold run builds and stores the VP-tree, a warm rerun reloads
+   it and writes nothing. *)
+let test_cli_nearest_metric_cache () =
+  with_temp @@ fun path ->
+  Sys.remove path;
+  let run () =
+    run_sv
+      [ "nearest"; "-a"; "babelstream"; "--model"; "serial"; "-m"; "t_sem";
+        "-k"; "3"; "--metric-cache"; path ]
+  in
+  let status, cold = run () in
+  checki "cold run exits 0" 0 status;
+  Alcotest.(check string) "cold table and ledger"
+    (nearest_table
+    ^ Printf.sprintf
+        "metric-cache: 1 entries, 0 hits / 1 misses this run, 1 new (saved to %s)\n"
+        path)
+    cold;
+  let stored = read_file path in
+  let status, warm = run () in
+  checki "warm run exits 0" 0 status;
+  Alcotest.(check string) "warm table and ledger"
+    (nearest_table
+    ^ Printf.sprintf
+        "metric-cache: 1 entries, 1 hits / 0 misses this run, 0 new (saved to %s)\n"
+        path)
+    warm;
+  Alcotest.(check string) "warm run leaves the file as it was" stored
+    (read_file path)
+
+(* A request the engine refuses exits non-zero with the engine's typed
+   message on stderr and nothing on stdout. *)
+let test_cli_typed_errors () =
+  List.iter
+    (fun (args, expect) ->
+      let status, out, err = run_sv_full args in
+      let cmd = String.concat " " args in
+      checkb (cmd ^ ": non-zero exit") true (status <> 0);
+      Alcotest.(check string) (cmd ^ ": no output") "" out;
+      Alcotest.(check string) (cmd ^ ": message") ("sv: " ^ expect ^ "\n") err)
+    [
+      ( [ "compare"; "-a"; "nope"; "-b"; "serial"; "-t"; "omp" ],
+        "unknown-app: unknown app \"nope\" (expected one of: babelstream, \
+         babelstream-f, tealeaf, cloverleaf, minibude)" );
+      ( [ "compare"; "-a"; "babelstream"; "-b"; "serial"; "-t"; "nope" ],
+        "unknown-model: app babelstream has no model nope" );
+      ( [ "cluster"; "-a"; "babelstream"; "-m"; "nope" ],
+        "unknown-metric: unknown metric \"nope\"" );
+      ( [ "nearest"; "-a"; "babelstream"; "--model"; "serial"; "-k"; "0" ],
+        "invalid-request: k must be at least 1 (got 0)" );
+      ( [ "nearest"; "-a"; "babelstream"; "--model"; "serial"; "--budget=-1" ],
+        "invalid-request: budget must be non-negative (got -1)" );
+    ]
+
 let () =
   Alcotest.run "chaos"
     [
@@ -405,5 +482,12 @@ let () =
             test_cli_index_version_2;
           Alcotest.test_case "damaged length header" `Slow
             test_cli_damaged_length_header;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "nearest metric cache cold then warm" `Slow
+            test_cli_nearest_metric_cache;
+          Alcotest.test_case "typed errors exit non-zero" `Slow
+            test_cli_typed_errors;
         ] );
     ]

@@ -66,48 +66,6 @@ let test_of_fn_symmetric_eval_count () =
   let (_ : C.matrix) = C.of_fn (Array.init n string_of_int) f in
   checki "asymmetric still tabulates everything" (n * n) !calls
 
-(* of_fn_ctx: the context is built exactly once per matrix, and the
-   resulting matrices — symmetric and not — are byte-identical to of_fn
-   over the same cell function. *)
-let test_of_fn_ctx_identical () =
-  let labels = Array.init 9 string_of_int in
-  let f i j = sqrt (float_of_int (((i + 1) * (j + 1)) + ((i - j) * (i - j)))) in
-  let inits = ref 0 in
-  let init () =
-    incr inits;
-    Buffer.create 16 (* stands in for a scratch buffer *)
-  in
-  let fc buf i j =
-    Buffer.clear buf;
-    f i j
-  in
-  let want = render (C.of_fn labels f) in
-  Alcotest.(check string) "byte-identical"
-    want
-    (render (C.of_fn_ctx ~init ~f:fc labels));
-  checki "init called once" 1 !inits;
-  Alcotest.(check string) "byte-identical symmetric"
-    want
-    (render (C.of_fn_ctx ~symmetric:true ~init ~f:fc labels));
-  checki "init called once per matrix" 2 !inits
-
-let test_of_fn_ctx_shared_state () =
-  (* a context that accumulates across cells observes every evaluation in
-     of_fn's documented order — row-major upper triangle when symmetric *)
-  let order = ref [] in
-  let (_ : C.matrix) =
-    C.of_fn_ctx ~symmetric:true
-      ~init:(fun () -> order)
-      ~f:(fun o i j ->
-        o := (i, j) :: !o;
-        0.0)
-      (Array.init 3 string_of_int)
-  in
-  Alcotest.(check (list (pair int int)))
-    "evaluation order matches of_fn"
-    [ (0, 0); (0, 1); (0, 2); (1, 1); (1, 2); (2, 2) ]
-    (List.rev !order)
-
 let test_row_euclidean_triangle_identical () =
   (* differential test against the naive all-pairs definition *)
   let rng = Random.State.make [| 0x5eed |] in
@@ -257,10 +215,6 @@ let () =
             test_of_fn_symmetric_identical;
           Alcotest.test_case "of_fn symmetric eval count" `Quick
             test_of_fn_symmetric_eval_count;
-          Alcotest.test_case "of_fn_ctx byte-identical, init once" `Quick
-            test_of_fn_ctx_identical;
-          Alcotest.test_case "of_fn_ctx evaluation order" `Quick
-            test_of_fn_ctx_shared_state;
           Alcotest.test_case "row euclidean vs naive" `Quick
             test_row_euclidean_triangle_identical;
           Alcotest.test_case "pairs cluster first" `Quick test_cluster_pairs_first;

@@ -859,8 +859,8 @@ let test_lru_evict_sees_miss () =
   checkb "callback saw a miss" true (!saw = `Miss)
 
 let test_lru_spill_roundtrip () =
-  (* the daemon's residency policy: eviction spills into a persistent
-     index cache, and the spilled payload survives a save/load cycle *)
+  (* an eviction callback can spill into a persistent index cache, and
+     the spilled payload survives a save/load cycle *)
   let cache = Ic.create () in
   let key = String.init 16 (fun i -> Char.chr (i + 65)) in
   let t =

@@ -335,8 +335,9 @@ let test_conformance_index () =
 
 let test_eviction_reload_identity () =
   (* a 1-byte budget makes every admission evict its predecessor: each
-     repeat must fall back through the eviction spill (decode from the
-     persistent cache), and the bytes must never change *)
+     repeat must come back from the index cache, which holds every
+     resident (a decode, not a re-index), and the bytes must never
+     change *)
   let e = engine ~lru_budget:1 () in
   let _, out1 = output_reply e compare_req in
   let _, out2 = output_reply e compare_req in
@@ -347,9 +348,42 @@ let test_eviction_reload_identity () =
   | _, P.Status_of fields ->
       checkb "evictions actually happened" true
         (int_field fields "lru_evictions" > 0);
-      checkb "spills were reloaded from the index cache" true
+      checkb "evicted codebases were reloaded from the index cache" true
         (int_field fields "index_hits" > 0)
   | _ -> Alcotest.fail "expected a status reply"
+
+(* Each resident is charged the byte length of its trees record: after
+   a fixed request sequence, lru_bytes is the sum of the encoded trees
+   records of the resident codebases, encoded here independently. With
+   a 1-byte budget only the last admitted codebase stays resident. *)
+let test_lru_bytes_are_trees_records () =
+  let cbs = Option.get (Apps.corpus_of_app "babelstream") in
+  let record_bytes cb =
+    String.length
+      (Sv_msgpack.Msgpack.encode
+         (Sv_core.Index_engine.indexed_to_msgpack (Pipeline.index ~run:false cb)))
+  in
+  let lru_bytes ~lru_budget =
+    let e = engine ~lru_budget () in
+    List.iter
+      (fun req -> ignore (output_reply e req))
+      [
+        compare_req;
+        P.Nearest
+          { app = "babelstream"; model = "serial"; metric = "t_sem"; k = 3;
+            budget = None; epsilon = None };
+        P.Index { app = "babelstream"; model = "omp" };
+      ];
+    match reply e (P.encode_request P.Status) with
+    | _, P.Status_of fields -> int_field fields "lru_bytes"
+    | _ -> Alcotest.fail "expected a status reply"
+  in
+  checki "every babelstream port resident"
+    (List.fold_left (fun acc cb -> acc + record_bytes cb) 0 cbs)
+    (lru_bytes ~lru_budget:(64 * 1024 * 1024));
+  checki "only the last admitted port resident"
+    (record_bytes (babel_codebase "omp"))
+    (lru_bytes ~lru_budget:1)
 
 (* --- nearest: validation, resident index memo, persisted metric cache --- *)
 
@@ -445,7 +479,12 @@ let temp_socket () =
   Sys.remove path;
   path
 
-let fork_daemon ?(jobs = 1) ?(high_water = 8) () =
+(* Run [f socket c] against a forked daemon, [c] a connection to it. A
+   clean run shuts the daemon down over the wire and expects it to exit
+   0. Any failure, in [f], in bringing the daemon up or in the shutdown,
+   SIGKILLs and reaps it first, so a failed check cannot leave an orphan
+   holding the test runner's output open. *)
+let with_daemon ?(high_water = 8) f =
   let socket = temp_socket () in
   flush stdout;
   flush stderr;
@@ -459,39 +498,40 @@ let fork_daemon ?(jobs = 1) ?(high_water = 8) () =
          (Engine.create
             {
               (Engine.default_config ()) with
-              Engine.jobs;
-              high_water;
+              Engine.high_water;
               ted_cache_path = None;
               index_cache_path = None;
               persist_every = 0;
             })
      with _ -> ());
     Unix._exit 0
-  end
-  else begin
-    let rec wait n =
-      match Client.connect ~socket ~timeout_s:120. () with
-      | Ok c -> c
-      | Error e ->
-          if n = 0 then Alcotest.failf "daemon did not come up: %s" e
-          else begin
-            Unix.sleepf 0.05;
-            wait (n - 1)
-          end
-    in
+  end;
+  let rec wait n =
+    match Client.connect ~socket ~timeout_s:120. () with
+    | Ok c -> c
+    | Error e ->
+        if n = 0 then Alcotest.failf "daemon did not come up: %s" e
+        else begin
+          Unix.sleepf 0.05;
+          wait (n - 1)
+        end
+  in
+  match
     let c = wait 200 in
-    (pid, socket, c)
-  end
-
-let shutdown_daemon pid c =
-  (match Client.call c P.Shutdown with
-  | Ok P.Shutdown_ack -> ()
-  | Ok _ -> Alcotest.fail "expected a shutdown ack"
-  | Error e -> Alcotest.failf "shutdown failed: %s" e);
-  Client.close c;
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.fail "daemon exited abnormally"
+    f socket c;
+    match Client.call c P.Shutdown with
+    | Ok P.Shutdown_ack -> Client.close c
+    | Ok _ -> Alcotest.fail "expected a shutdown ack"
+    | Error e -> Alcotest.failf "shutdown failed: %s" e
+  with
+  | () -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "daemon exited abnormally")
+  | exception e ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      raise e
 
 let daemon_output c req =
   match Client.call c req with
@@ -505,10 +545,7 @@ let daemon_output c req =
 
 let test_daemon_differential () =
   (* the high-water mark admits every pipelined request below *)
-  let pid, socket, c = fork_daemon ~high_water:64 () in
-  Fun.protect
-    ~finally:(fun () -> shutdown_daemon pid c)
-    (fun () ->
+  with_daemon ~high_water:64 (fun socket c ->
       (* independent one-shot evaluation in this (parent) process: fresh
          pipeline, no shared state with the daemon *)
       let bix = Pipeline.index (babel_codebase "serial") in
@@ -585,10 +622,7 @@ let write_all fd s =
   go 0
 
 let test_soak () =
-  let pid, socket, c0 = fork_daemon ~high_water:2 () in
-  Fun.protect
-    ~finally:(fun () -> shutdown_daemon pid c0)
-    (fun () ->
+  with_daemon ~high_water:2 (fun socket c0 ->
       let before = status_fields c0 in
       (* phase 1: six clients, ten interleaved rounds each; every request
          must come back as exactly one well-formed reply carrying its id
@@ -709,10 +743,7 @@ let test_gen_soak () =
   let goldens =
     Array.of_list (List.map (fun cb -> Engine.render_index (Pipeline.index cb)) cbs)
   in
-  let pid, socket, c0 = fork_daemon ~high_water:2 () in
-  Fun.protect
-    ~finally:(fun () -> shutdown_daemon pid c0)
-    (fun () ->
+  with_daemon ~high_water:2 (fun socket c0 ->
       let nclients = 4 in
       let conns =
         Array.init nclients (fun _ ->
@@ -836,6 +867,8 @@ let () =
           Alcotest.test_case "compare golden + warm identity" `Quick
             test_conformance_compare;
           Alcotest.test_case "index golden" `Quick test_conformance_index;
+          Alcotest.test_case "lru bytes are trees records" `Quick
+            test_lru_bytes_are_trees_records;
           Alcotest.test_case "eviction + reload identity" `Quick
             test_eviction_reload_identity;
           Alcotest.test_case "invalid-request taxonomy" `Quick
