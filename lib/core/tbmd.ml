@@ -220,8 +220,10 @@ let warm_trees metric variant codebases =
 
 (* The DPs the serial matrix loop over [pairs] would run, each once:
    it skips what that loop would settle without a DP (a memoised
-   codebase pair, equal trees, a TED-cache hit), bumping no counter. A
-   pair of different languages is left to the loop, which rejects it. *)
+   codebase pair, a TED-cache hit, equal trees), bumping no counter. The
+   cache is asked first, so a pair it answers is never interned or
+   compiled. A pair of different languages is left to the loop, which
+   rejects it. *)
 let planned_dps ~variant metric arr pairs =
   match metric with
   | SLOC | LLOC | Source -> []
@@ -246,11 +248,13 @@ let planned_dps ~variant metric arr pairs =
                 | Some u1, Some u2 -> (
                     let t1 = tree_of metric variant c1 u1 in
                     let t2 = tree_of metric variant c2 u2 in
-                    match Div.dp_ids t1 t2 with
-                    | Some k when not (Hashtbl.mem seen k || cached t1 t2) ->
-                        Hashtbl.add seen k ();
-                        k :: acc
-                    | _ -> acc)
+                    if cached t1 t2 then acc
+                    else
+                      match Div.dp_ids t1 t2 with
+                      | Some k when not (Hashtbl.mem seen k) ->
+                          Hashtbl.add seen k ();
+                          k :: acc
+                      | _ -> acc)
                 | _ -> acc)
               acc (unit_pairs c1 c2))
         [] pairs
@@ -273,9 +277,6 @@ let matrix ?(variant = Base) metric codebases =
       incr idx
     done
   done;
-  (* Tree metrics: compile every tree's flat form and size the DP scratch
-     up front, so the loop below never compiles or reallocates mid-pair. *)
-  warm_trees metric variant codebases;
   let serial () =
     Array.iter
       (fun (i, j) ->
@@ -284,13 +285,16 @@ let matrix ?(variant = Base) metric codebases =
         d.(j).(i) <- dij)
       pairs
   in
-  (if !engine_jobs <= 1 then serial ()
-   else
-     let dps = planned_dps ~variant metric arr pairs in
-     let domains =
-       min !engine_jobs (min (List.length dps) (default_jobs ()))
-     in
-     if domains < 2 then serial () else Div.with_dps ~domains dps serial);
+  (* One plan at every [-j]. When it holds a DP, every tree's flat form
+     is compiled and the DP scratch sized up front, so the loop below
+     never compiles or reallocates mid-pair, and the DPs run on up to
+     [jobs] domains. A plan with none (every pair memoised, cached or
+     equal, as in a warm run) leaves the loop to read its answers: it
+     interns nothing and compiles nothing. *)
+  let dps = planned_dps ~variant metric arr pairs in
+  if dps <> [] then warm_trees metric variant codebases;
+  let domains = min !engine_jobs (min (List.length dps) (default_jobs ())) in
+  if domains < 2 then serial () else Div.with_dps ~domains dps serial;
   Sv_cluster.Cluster.of_fn labels (fun i j ->
       if i = j then 0.0 else Div.normalised ~d:d.(i).(j) ~dmax:dmax.(j))
 

@@ -35,12 +35,16 @@ val metric_of_string : string -> metric option
 
 (** {2 Engine configuration}
 
-    [matrix] computes each unordered codebase pair once. With
-    [set_jobs n], n ≥ 2, it first collects the TED DPs its serial loop
-    would run and runs them on up to [n] domains
-    ({!Sv_metrics.Divergence.with_dps}), then runs that same serial loop,
-    which takes each DP result instead of recomputing it: the matrix,
-    the memo, the TED cache and the counters are those of a serial run.
+    [matrix] computes each unordered codebase pair once. At every
+    [set_jobs n] it first plans the TED DPs its serial loop would run,
+    asking the TED cache before it interns a tree, so pairs the cache
+    answers are never interned or compiled. Only a plan with a DP
+    compiles the matrix's trees and sizes the DP scratch; with n ≥ 2 the
+    DPs then run on up to [n] domains
+    ({!Sv_metrics.Divergence.with_dps}). The serial loop runs last and
+    takes each DP result instead of recomputing it: the matrix, the
+    memo, the TED cache and the counters are those of a serial run, and
+    a fully warm matrix compiles nothing and runs no DP.
     With a persistent TED cache installed ([set_ted_cache]), every
     pairwise tree comparison first consults the digest-keyed table (each
     tree value is digested once per process, not once per pair).

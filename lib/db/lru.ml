@@ -17,13 +17,12 @@ type 'a t = {
   mutable used : int;
   budget : int;
   size_of : 'a -> int;
-  on_evict : (string -> 'a -> unit) option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-let create ?on_evict ~budget ~size_of () =
+let create ~budget ~size_of () =
   {
     table = Hashtbl.create 64;
     head = None;
@@ -31,7 +30,6 @@ let create ?on_evict ~budget ~size_of () =
     used = 0;
     budget = max 0 budget;
     size_of;
-    on_evict;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -62,10 +60,7 @@ let find t k =
 
 let mem t k = Hashtbl.mem t.table k
 
-(* Evict from the tail until the budget fits or only the head remains.
-   The entry is fully unlinked before [on_evict] runs, so the callback
-   observes a consistent table (and a raising callback loses nothing
-   but its own entry). *)
+(* Evict from the tail until the budget fits or only the head remains. *)
 let rec shed t =
   if t.used > t.budget then
     match t.tail with
@@ -77,7 +72,6 @@ let rec shed t =
         Hashtbl.remove t.table n.key;
         t.used <- t.used - n.size;
         t.evictions <- t.evictions + 1;
-        (match t.on_evict with Some f -> f n.key n.value | None -> ());
         shed t
     | _ -> ()
 

@@ -6,12 +6,11 @@
     would grow without limit. This table bounds the {e decoded, live}
     working set: each entry carries a caller-measured byte size, the
     table holds entries in recency order, and inserting past the byte
-    budget evicts from the least-recently-used end, invoking an optional
-    [on_evict] callback on each evicted entry. The daemon passes none:
-    its index cache already holds every resident's trees record, so an
-    evicted codebase reloads as a decode (eviction + reload must yield
-    identical results; test_serve's conformance suite holds that
-    regression).
+    budget evicts from the least-recently-used end. Nothing is spilled:
+    the daemon's index cache already holds every resident's trees
+    record, so an evicted codebase reloads as a decode (eviction +
+    reload must yield identical results; test_serve's conformance suite
+    holds that regression).
 
     The most recently inserted or touched entry is never evicted, even
     when it alone exceeds the budget — a single oversized entry degrades
@@ -19,17 +18,9 @@
 
 type 'a t
 
-val create :
-  ?on_evict:(string -> 'a -> unit) ->
-  budget:int ->
-  size_of:('a -> int) ->
-  unit ->
-  'a t
+val create : budget:int -> size_of:('a -> int) -> unit -> 'a t
 (** [create ~budget ~size_of ()] is an empty table that will hold at
-    most [budget] bytes as measured by [size_of] (clamped to ≥ 0).
-    [on_evict] runs after the entry is unlinked, so a callback looking
-    the key up sees a miss, and a callback raising leaves the table
-    consistent (the entry is already gone; the exception propagates). *)
+    most [budget] bytes as measured by [size_of] (clamped to ≥ 0). *)
 
 val find : 'a t -> string -> 'a option
 (** Look up a key, moving a hit to the most-recent position and bumping
@@ -40,13 +31,12 @@ val mem : 'a t -> string -> bool
 
 val add : 'a t -> string -> 'a -> unit
 (** [add t k v] inserts or replaces the binding for [k] at the
-    most-recent position, then evicts least-recent entries (calling
-    [on_evict] on each) until the table fits the budget again or only
-    the new entry remains. *)
+    most-recent position, then evicts least-recent entries until the
+    table fits the budget again or only the new entry remains. *)
 
 val remove : 'a t -> string -> unit
-(** Drop a binding without invoking [on_evict] (removal is explicit,
-    not pressure). Missing keys are ignored. *)
+(** Drop a binding (removal is explicit, not pressure: no eviction is
+    counted). Missing keys are ignored. *)
 
 val count : 'a t -> int
 (** Number of resident entries. *)

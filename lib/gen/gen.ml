@@ -265,7 +265,8 @@ let variant_seeds spec =
 
 type seed_entry = {
   se_cb : Emit.codebase;
-  se_ast : Sv_lang_c.Ast.tunit option;  (** None for MiniF seeds *)
+  se_ast : Sv_lang_c.Ast.tunit Lazy.t option;
+      (** None for MiniF seeds; a C seed is parsed when a variant draws it *)
   se_includes : string list;
   se_obs_c : ((Interp_c.value, string) result * string) option Lazy.t;
   se_obs_f : ((unit, string) result * string) option Lazy.t;
@@ -278,7 +279,7 @@ let seed_entries base =
       | `C ->
           {
             se_cb = cb;
-            se_ast = Some (parse_main cb);
+            se_ast = Some (lazy (parse_main cb));
             se_includes = preprocessor_lines cb;
             se_obs_c = lazy (try Some (obs_c (run_c cb)) with _ -> None);
             se_obs_f = lazy None;
@@ -305,7 +306,8 @@ let mutate_one entries sub k =
         | None -> failwith (Printf.sprintf "Gen: seed %s does not run" cb.Emit.model)
       in
       let cb', ops, tries =
-        c_variant ~cb ~seed_ast ~includes:entry.se_includes ~seed_obs ~id sub
+        c_variant ~cb ~seed_ast:(Lazy.force seed_ast) ~includes:entry.se_includes
+          ~seed_obs ~id sub
       in
       {
         v_id = id;
@@ -416,6 +418,7 @@ let diagnose spec k =
   (match entry.se_ast with
   | None -> outf "MiniF seed: source-level ops, no prefix shrinking"
   | Some seed_ast -> (
+      let seed_ast = Lazy.force seed_ast in
       match Lazy.force entry.se_obs_c with
       | None -> outf "seed itself fails to run"
       | Some seed_obs ->

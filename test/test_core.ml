@@ -601,6 +601,139 @@ let test_generated_matrix_identical () =
         ixs)
     ixs
 
+(* The one-pass trees-record reader. A warm [index_many], from a cache
+   saved and loaded again, equals the cold run's [Pipeline.index] field
+   by field for every bundled codebase and a generated C and Fortran
+   corpus: trees with their locations, counts, lines and key. Where the
+   cold index shares a base tree or line list as its pp or +i variant
+   (every Fortran unit), the warm one shares it too. *)
+let test_warm_decode_equals_pipeline () =
+  let cbs =
+    List.concat_map
+      (fun n -> Option.get (Sv_corpus.Registry.corpus n))
+      Sv_corpus.Registry.names
+    @ Lazy.force gen_cbs
+    @ Option.get (Sv_core.Apps.corpus_of_app "gen:mutate:babelstream-f:2:4")
+  in
+  let cache = Index_cache.create () in
+  let cold = with_cache (Some cache) (fun () -> Index_engine.index_many ~run:false cbs) in
+  let reloaded =
+    match Index_cache.load (Index_cache.save cache) with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let warm = with_cache (Some reloaded) (fun () -> Index_engine.index_many ~run:false cbs) in
+  checki "every trees record hits" (List.length cbs) (Index_cache.hits reloaded);
+  checki "and none misses" 0 (Index_cache.misses reloaded);
+  List.iter2
+    (fun (a : Pipeline.indexed) (b : Pipeline.indexed) ->
+      let name = a.Pipeline.ix_app ^ "/" ^ a.Pipeline.ix_model in
+      checkb (name ^ ": names, language and key equal") true
+        (a.Pipeline.ix_app = b.Pipeline.ix_app
+        && a.ix_model = b.ix_model
+        && a.ix_model_name = b.ix_model_name
+        && a.ix_lang = b.ix_lang
+        && a.ix_key = b.ix_key);
+      checkb (name ^ ": units equal, locations included") true
+        (a.Pipeline.ix_units = b.Pipeline.ix_units);
+      checkb (name ^ ": no run") true
+        (b.Pipeline.ix_coverage = None && b.Pipeline.ix_verification = None);
+      List.iter2
+        (fun (u : Pipeline.unit_info) (v : Pipeline.unit_info) ->
+          let shared_if a b a' b' = a != b || a' == b' in
+          checkb (name ^ ": pp and +i variants shared where the cold index shares them") true
+            (shared_if u.Pipeline.u_t_src_pp u.u_t_src v.Pipeline.u_t_src_pp v.u_t_src
+            && shared_if u.u_t_sem_i u.u_t_sem v.u_t_sem_i v.u_t_sem
+            && shared_if u.u_lines_pp u.u_lines v.u_lines_pp v.u_lines))
+        a.Pipeline.ix_units b.Pipeline.ix_units)
+    cold warm
+
+(* Hand-written codebases small enough to damage byte by byte, and whose
+   trees no other test interns. *)
+let tiny_c ~model body =
+  {
+    Sv_corpus.Emit.app = "tiny";
+    model;
+    model_name = model;
+    lang = `C;
+    main_file = "main.cpp";
+    extra_units = [];
+    files =
+      [
+        ( "main.cpp",
+          "#include \"k.h\"\nint main() {\n  int s = 0;\n  for (int i = 0; i < N; i++) {\n    "
+          ^ body ^ "\n  }\n  return s > 0 ? 0 : 1;\n}\n" );
+        ("k.h", "#define N 10\nint twice(int x) { return 2 * x; }\n");
+      ];
+    system_headers = [];
+    defines = [];
+  }
+
+let tiny_f =
+  {
+    Sv_corpus.Emit.app = "tiny";
+    model = "sequential";
+    model_name = "sequential";
+    lang = `F;
+    main_file = "main.f90";
+    extra_units = [];
+    files =
+      [
+        ( "main.f90",
+          "program tiny\n  integer :: i, s\n  s = 0\n  do i = 1, 10\n    s = s + i\n\
+           \  end do\n  print *, s\nend program tiny\n" );
+      ];
+    system_headers = [];
+    defines = [];
+  }
+
+(* Every strict prefix of a trees record is a miss, and no single damaged
+   byte makes the reader raise: it answers [Some] or [None]. The tiny
+   records are checked at every prefix and every byte; a bundled one at
+   every 101st. *)
+let test_trees_record_damage () =
+  let record cb =
+    let ix = Pipeline.index ~run:false cb in
+    (ix, Sv_msgpack.Msgpack.encode (Index_engine.indexed_to_msgpack ix))
+  in
+  let check_record ~step (ix, r) =
+    let name = ix.Pipeline.ix_model in
+    (match Index_engine.trees_of_record r with
+    | Some ix' ->
+        checkb (name ^ ": the whole record reads back") true
+          (ix'.Pipeline.ix_units = ix.Pipeline.ix_units && ix'.ix_key = ix.ix_key)
+    | None -> Alcotest.failf "%s: the whole record is a miss" name);
+    let n = String.length r in
+    let rec prefixes k =
+      if k < n then begin
+        if Index_engine.trees_of_record (String.sub r 0 k) <> None then
+          Alcotest.failf "%s: the %d-byte prefix of %d reads as a record" name k n;
+        prefixes (k + step)
+      end
+    in
+    prefixes 0;
+    let rec damage k =
+      if k < n then begin
+        List.iter
+          (fun mask ->
+            let b = Bytes.of_string r in
+            Bytes.set b k (Char.chr (Char.code r.[k] lxor mask));
+            match Index_engine.trees_of_record (Bytes.to_string b) with
+            | Some _ | None -> ()
+            | exception e ->
+                Alcotest.failf "%s: byte %d xor %#x raises %s" name k mask
+                  (Printexc.to_string e))
+          [ 0x01; 0x80; 0xFF ];
+        damage (k + step)
+      end
+    in
+    damage 0
+  in
+  check_record ~step:1 (record (tiny_c ~model:"serial" "s = s + twice(i);"));
+  check_record ~step:1 (record tiny_f);
+  check_record ~step:101
+    (record (List.hd (Option.get (Sv_corpus.Registry.corpus "babelstream-f"))))
+
 (* grown kernel chains: small trees, so many exact queries stay cheap *)
 let grown_cbs () =
   Option.get (Sv_core.Apps.corpus_of_app "gen:grow:serial,omp,stdpar,tbb,kokkos:8:8")
@@ -908,7 +1041,47 @@ let test_parallel_counters () =
   let misses = Tc.misses c2 in
   let warm = counted ~jobs:2 ~cache:(Some c2) in
   checki "a warm jobs 2 matrix runs no DP" 0 (List.assoc "DP runs" warm);
-  checki "and misses nothing" misses (Tc.misses c2)
+  checki "and misses nothing" misses (Tc.misses c2);
+  (* Fully warm over trees this process has never interned: the TED
+     cache is filled from the pointer-tree reference, so no flat form of
+     these trees exists. At jobs 1 and 2 the matrix asks the cache before
+     planning anything, so it compiles no flat and runs no DP; its ledger
+     is one hit per pair and no miss, and it is the cold matrix. *)
+  let tiny =
+    List.map
+      (fun (model, body) -> Pipeline.index ~run:false (tiny_c ~model body))
+      [ ("add", "s = s + i;"); ("twice", "s = s + twice(i);");
+        ("both", "s = s + i + twice(i);"); ("sub", "s = s - i;") ]
+  in
+  let tree (ix : Pipeline.indexed) = (List.hd ix.Pipeline.ix_units).Pipeline.u_t_sem in
+  let c = Tc.create () in
+  List.iteri
+    (fun i a ->
+      List.iteri
+        (fun j b ->
+          if i < j then
+            Tc.add c (Tc.digest (tree a)) (Tc.digest (tree b))
+              (Sv_tree.Ted.distance ~eq:Label.equal (tree a) (tree b)))
+        tiny)
+    tiny;
+  let pairs = List.length tiny * (List.length tiny - 1) / 2 in
+  let warm_run jobs =
+    let before = T.ted_snapshot () in
+    let hits = Tc.hits c and misses = Tc.misses c in
+    let m = matrix_with ~jobs ~cache:(Some c) tiny in
+    let rows = T.ted_rows (T.ted_diff ~before ~after:(T.ted_snapshot ())) in
+    let what = Printf.sprintf "warm jobs %d" jobs in
+    checki (what ^ ": no flat compiled") 0 (List.assoc "flat compiles" rows);
+    checki (what ^ ": no DP run") 0 (List.assoc "DP runs" rows);
+    checki (what ^ ": one hit per pair") pairs (Tc.hits c - hits);
+    checki (what ^ ": no miss") misses (Tc.misses c);
+    m
+  in
+  let warm1 = warm_run 1 in
+  let warm2 = warm_run 2 in
+  let cold = matrix_with ~jobs:1 ~cache:None tiny in
+  check_same_matrix "warm jobs 1 against cold" cold warm1;
+  check_same_matrix "warm jobs 2 against cold" cold warm2
 
 let test_cached_matrix_identical () =
   let module Tc = Sv_db.Codebase_db.Ted_cache in
@@ -992,6 +1165,10 @@ let () =
           Alcotest.test_case "trees-only CLI stores no run" `Quick test_cli_trees_only;
           Alcotest.test_case "corrupt payload recomputes" `Quick
             test_engine_corrupt_payload_recomputes;
+          Alcotest.test_case "warm decode equals the pipeline" `Quick
+            test_warm_decode_equals_pipeline;
+          Alcotest.test_case "damaged trees record is a miss" `Quick
+            test_trees_record_damage;
         ] );
       ( "memo",
         [ Alcotest.test_case "keys on content" `Quick test_memo_keys_on_content ] );

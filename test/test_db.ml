@@ -787,25 +787,22 @@ let test_ted_cache_store_file () =
 
 module Lru = Sv_db.Lru
 
-let lru_of_strings ?on_evict budget =
-  Lru.create ?on_evict ~budget ~size_of:String.length ()
+let lru_of_strings budget = Lru.create ~budget ~size_of:String.length ()
 
 let test_lru_eviction_order () =
-  let evicted = ref [] in
-  let t =
-    lru_of_strings ~on_evict:(fun k _ -> evicted := k :: !evicted) 30
-  in
+  let t = lru_of_strings 30 in
   Lru.add t "a" "0123456789";
   Lru.add t "b" "0123456789";
   Lru.add t "c" "0123456789";
   (* touch [a]: it is now most recent, so pressure must take [b] *)
   checkb "hit a" true (Lru.find t "a" <> None);
   Lru.add t "d" "0123456789";
-  Alcotest.(check (list string)) "evicted LRU tail" [ "b" ] !evicted;
+  checkb "evicted LRU tail" false (Lru.mem t "b");
   Alcotest.(check (list string))
     "recency order" [ "d"; "a"; "c" ]
     (Lru.keys_newest_first t);
-  checki "evictions counted" 1 (Lru.evictions t)
+  checki "evictions counted" 1 (Lru.evictions t);
+  checki "bytes after eviction" 30 (Lru.bytes t)
 
 let test_lru_size_accounting () =
   let t = lru_of_strings 100 in
@@ -819,16 +816,17 @@ let test_lru_size_accounting () =
   Lru.remove t "b";
   checki "remove deducts" 2 (Lru.bytes t);
   Lru.remove t "nope";
-  checki "missing remove is a no-op" 2 (Lru.bytes t)
+  checki "missing remove is a no-op" 2 (Lru.bytes t);
+  checki "removal is not an eviction" 0 (Lru.evictions t)
 
 let test_lru_newest_survives () =
   (* one entry over budget degrades to a cache of one, never zero *)
-  let evicted = ref [] in
-  let t = lru_of_strings ~on_evict:(fun k _ -> evicted := k :: !evicted) 5 in
+  let t = lru_of_strings 5 in
   Lru.add t "big" "0123456789";
   checki "oversized newest resident" 1 (Lru.count t);
+  checki "nothing evicted yet" 0 (Lru.evictions t);
   Lru.add t "bigger" "01234567890123456789";
-  Alcotest.(check (list string)) "older one spilled" [ "big" ] !evicted;
+  checki "older one evicted" 1 (Lru.evictions t);
   Alcotest.(check (list string))
     "newest alone survives" [ "bigger" ]
     (Lru.keys_newest_first t)
@@ -841,43 +839,6 @@ let test_lru_counters () =
   checkb "mem does not touch counters" true (Lru.mem t "a");
   checki "hits" 1 (Lru.hits t);
   checki "misses" 1 (Lru.misses t)
-
-let test_lru_evict_sees_miss () =
-  (* on_evict runs after the unlink: a callback probing the table must
-     observe the entry already gone *)
-  let t = ref None in
-  let saw = ref `Unset in
-  let lru =
-    Lru.create
-      ~on_evict:(fun k _ ->
-        saw := if Lru.find (Option.get !t) k = None then `Miss else `Hit)
-      ~budget:4 ~size_of:String.length ()
-  in
-  t := Some lru;
-  Lru.add lru "a" "123";
-  Lru.add lru "b" "1234";
-  checkb "callback saw a miss" true (!saw = `Miss)
-
-let test_lru_spill_roundtrip () =
-  (* an eviction callback can spill into a persistent index cache, and
-     the spilled payload survives a save/load cycle *)
-  let cache = Ic.create () in
-  let key = String.init 16 (fun i -> Char.chr (i + 65)) in
-  let t =
-    Lru.create
-      ~on_evict:(fun k payload -> Ic.add cache k payload)
-      ~budget:8 ~size_of:String.length ()
-  in
-  Lru.add t key "payload-one";
-  Lru.add t (String.make 16 'z') "payload-two";
-  checkb "evicted from lru" false (Lru.mem t key);
-  checkb "spilled to cache" true (Ic.find cache key = Some "payload-one");
-  let path = Filename.temp_file "sv_lru_spill" ".svix" in
-  Ic.save_file path cache;
-  let cache' = Ic.load_file path in
-  Sys.remove path;
-  checkb "spill survives persistence" true
-    (Ic.find cache' key = Some "payload-one")
 
 let () =
   Alcotest.run "db"
@@ -953,9 +914,6 @@ let () =
           Alcotest.test_case "size accounting" `Quick test_lru_size_accounting;
           Alcotest.test_case "newest survives" `Quick test_lru_newest_survives;
           Alcotest.test_case "hit/miss counters" `Quick test_lru_counters;
-          Alcotest.test_case "on_evict sees a miss" `Quick
-            test_lru_evict_sees_miss;
-          Alcotest.test_case "spill round-trip" `Quick test_lru_spill_roundtrip;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
