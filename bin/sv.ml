@@ -117,8 +117,8 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "Print TED engine counters after the run: pairs settled \
-           without a DP (equal trees), DP runs, flat compiles, and \
-           left/right strategy picks.")
+           without a DP (equal trees), DP runs and their forest-table \
+           cells, flat compiles, and left/right strategy picks.")
 
 (* The engine configuration a command's flags select: the daemon, the
    client's in-process fallback and the one-shot commands all build

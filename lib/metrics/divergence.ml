@@ -94,7 +94,7 @@ let run_dps ~domains (flats : (Sv_tree.Flat.t * Sv_tree.Flat.t) array) =
   results
 
 let with_dps ~domains ids f =
-  let cost (a, b) = Sv_tree.Flat.size a * Sv_tree.Flat.size b in
+  let cost (a, b) = Sv_tree.Flat.cells a b in
   let jobs =
     List.map (fun (i, j) -> ((i, j), (Hashtbl.find flat_memo i, Hashtbl.find flat_memo j))) ids
     |> List.stable_sort (fun (_, x) (_, y) -> compare (cost y) (cost x))

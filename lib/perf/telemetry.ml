@@ -1,6 +1,7 @@
 type ted = {
   mutable equal_prunes : int;
   mutable dp_runs : int;
+  mutable dp_cells : int;
   mutable flat_compiles : int;
   mutable scratch_grows : int;
   mutable strategy_left : int;
@@ -11,6 +12,7 @@ let zero () =
   {
     equal_prunes = 0;
     dp_runs = 0;
+    dp_cells = 0;
     flat_compiles = 0;
     scratch_grows = 0;
     strategy_left = 0;
@@ -22,6 +24,7 @@ let ted = zero ()
 let reset_ted () =
   ted.equal_prunes <- 0;
   ted.dp_runs <- 0;
+  ted.dp_cells <- 0;
   ted.flat_compiles <- 0;
   ted.scratch_grows <- 0;
   ted.strategy_left <- 0;
@@ -33,6 +36,7 @@ let ted_diff ~before ~after =
   {
     equal_prunes = after.equal_prunes - before.equal_prunes;
     dp_runs = after.dp_runs - before.dp_runs;
+    dp_cells = after.dp_cells - before.dp_cells;
     flat_compiles = after.flat_compiles - before.flat_compiles;
     scratch_grows = after.scratch_grows - before.scratch_grows;
     strategy_left = after.strategy_left - before.strategy_left;
@@ -45,6 +49,7 @@ let ted_rows t =
   [
     ("pruned: equal", t.equal_prunes);
     ("DP runs", t.dp_runs);
+    ("DP cells", t.dp_cells);
     ("flat compiles", t.flat_compiles);
     ("scratch growths", t.scratch_grows);
     ("strategy: left path", t.strategy_left);
@@ -54,9 +59,9 @@ let ted_rows t =
 let ted_to_string t =
   let pairs = ted_pruned t + t.dp_runs in
   Printf.sprintf
-    "ted: %d of %d pairs settled without a DP (equal %d), %d DP runs, %d \
-     flats, strategy L/R %d/%d"
-    (ted_pruned t) pairs t.equal_prunes t.dp_runs
+    "ted: %d of %d pairs settled without a DP (equal %d), %d DP runs (%d \
+     cells), %d flats, strategy L/R %d/%d"
+    (ted_pruned t) pairs t.equal_prunes t.dp_runs t.dp_cells
     t.flat_compiles t.strategy_left t.strategy_right
 
 (* --- service counters --- *)

@@ -14,6 +14,10 @@ type ted = {
   mutable equal_prunes : int;
       (** pairs answered 0 by equality (intern id or pointer), no DP *)
   mutable dp_runs : int;  (** full flat-kernel runs *)
+  mutable dp_cells : int;
+      (** forest-table cells those runs computed: u₁·u₂ per DP, u the
+          summed subtree size of the keyroots the kernel computes rather
+          than copies *)
   mutable flat_compiles : int;  (** trees compiled to flat form *)
   mutable scratch_grows : int;  (** geometric growths of the DP scratch *)
   mutable strategy_left : int;  (** pairs decomposed along the left path *)

@@ -8,14 +8,18 @@
     zero allocation and no polymorphic-compare calls in the O(n₁·n₂·…)
     inner loops. Per pair the kernel picks the cheaper direction (left
     path, or right path via the mirror decomposition — the distance is
-    mirror-invariant); physically equal flats skip the DP, every other
-    pair runs it in full. Distances are exactly those of the
-    pointer-tree reference {!Ted.distance}; the test suites check the
-    two kernels cell by cell over whole corpora.
+    mirror-invariant); physically equal flats skip the DP. Within a DP,
+    a keyroot whose subtree repeats an earlier keyroot's subtree (an
+    identifier, an index expression, a whole statement) copies that
+    keyroot's td cells instead of running its forest tables, and the
+    keyroots inside it do nothing: compiling marks the repeats once per
+    tree. Distances are exactly those of the pointer-tree reference
+    {!Ted.distance}; the test suites check the two kernels cell by cell
+    over whole corpora and over trees with planted repeats.
 
-    Counters for equality shortcuts, DP runs, compiles and strategy
-    picks accumulate in {!Sv_perf.Telemetry.ted}; {!dp} touches none, so
-    it may run off the main domain. *)
+    Counters for equality shortcuts, DP runs and their cells, compiles
+    and strategy picks accumulate in {!Sv_perf.Telemetry.ted}; {!dp}
+    touches none, so it may run off the main domain. *)
 
 type t
 (** A compiled tree. Immutable; safe to share across any number of
@@ -29,8 +33,6 @@ type scratch
 val of_tree : int Tree.t -> t
 (** [of_tree t] compiles [t]. O(n); performed once per distinct tree by
     the callers that cache flats. *)
-
-val size : t -> int
 
 val scratch : unit -> scratch
 (** A fresh, empty scratch context. *)
@@ -54,7 +56,13 @@ val dp : ?scratch:scratch -> t -> t -> int
     scratch at the same time. [scratch] defaults to the process-shared
     context. *)
 
+val cells : t -> t -> int
+(** [cells a b] is the number of forest-table cells the DP for [a] and
+    [b] computes: u₁·u₂ in the chosen direction, where u sums the subtree
+    sizes of the keyroots that are computed rather than copied. This is
+    the kernel's own cost figure, for scheduling DPs largest first. *)
+
 val count_dp : t -> t -> unit
 (** [count_dp a b] bumps exactly the counters [distance a b] bumps for
-    its DP (a run and its strategy pick), for a caller that took the
-    result from {!dp}. *)
+    its DP (a run, its {!cells} and its strategy pick), for a caller
+    that took the result from {!dp}. *)

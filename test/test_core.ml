@@ -1029,6 +1029,8 @@ let test_parallel_counters () =
   in
   let serial = counted ~jobs:1 ~cache:None in
   checkb "the serial matrix runs DPs" true (List.assoc "DP runs" serial > 0);
+  (* the rows carry "DP cells", so the comparisons below cover them *)
+  checkb "and counts their cells" true (List.assoc "DP cells" serial > 0);
   Alcotest.(check (list (pair string int)))
     "jobs 2 counters equal jobs 1" serial (counted ~jobs:2 ~cache:None);
   let module Tc = Sv_db.Codebase_db.Ted_cache in

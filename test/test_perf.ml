@@ -159,10 +159,12 @@ let test_telemetry_reset_and_diff () =
   let before = T.ted_snapshot () in
   T.ted.T.equal_prunes <- T.ted.T.equal_prunes + 3;
   T.ted.T.dp_runs <- T.ted.T.dp_runs + 2;
+  T.ted.T.dp_cells <- T.ted.T.dp_cells + 40;
   T.ted.T.strategy_right <- T.ted.T.strategy_right + 1;
   let diff = T.ted_diff ~before ~after:(T.ted_snapshot ()) in
   checki "diff equal_prunes" 3 diff.T.equal_prunes;
   checki "diff dp_runs" 2 diff.T.dp_runs;
+  checki "diff dp_cells" 40 diff.T.dp_cells;
   checki "diff strategy_right" 1 diff.T.strategy_right;
   checki "untouched counter" 0 diff.T.flat_compiles;
   checki "pruned total" 3 (T.ted_pruned diff);
@@ -172,7 +174,8 @@ let test_telemetry_reset_and_diff () =
   checki "snapshot survives later writes" 3 snap.T.equal_prunes;
   T.reset_ted ();
   checki "reset zeroes" 0 (T.ted_pruned (T.ted_snapshot ()));
-  checki "reset zeroes dp_runs" 0 T.ted.T.dp_runs
+  checki "reset zeroes dp_runs" 0 T.ted.T.dp_runs;
+  checki "reset zeroes dp_cells" 0 T.ted.T.dp_cells
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -183,14 +186,17 @@ let test_telemetry_rows_and_string () =
   T.reset_ted ();
   T.ted.T.equal_prunes <- 5;
   T.ted.T.dp_runs <- 7;
+  T.ted.T.dp_cells <- 4321;
   let rows = T.ted_rows (T.ted_snapshot ()) in
-  checki "rows cover every counter" 6 (List.length rows);
+  checki "rows cover every counter" 7 (List.length rows);
   checkb "equal prunes row carries its value" true
     (List.exists (fun (k, v) -> v = 5 && contains k "equal") rows);
+  checkb "DP cells row carries its value" true (List.mem ("DP cells", 4321) rows);
   let s = T.ted_to_string (T.ted_snapshot ()) in
   checkb "summary counts pairs settled without a DP" true
     (contains s "ted: 5 of 12 pairs settled without a DP (equal 5)");
-  checkb "summary mentions DP runs" true (contains s "7 DP runs");
+  checkb "summary mentions DP runs and their cells" true
+    (contains s "7 DP runs (4321 cells)");
   T.reset_ted ()
 
 let () =

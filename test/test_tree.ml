@@ -468,6 +468,105 @@ let test_flat_reserve () =
   let diff = T.ted_diff ~before ~after:(T.ted_snapshot ()) in
   checki "no scratch growth after reserve" 0 diff.T.scratch_grows
 
+(* --- planted repeats --------------------------------------------------- *)
+
+(* The kernel copies the td cells of a keyroot whose subtree repeats an
+   earlier keyroot's. [kcost_product] is the cell count the kernel would
+   run with no copies: the keyroot spans Σ|i| of each direction (a node
+   is a left keyroot iff it is the root or has a left sibling, a right
+   keyroot iff it is the root or has a right sibling), multiplied in the
+   direction the kernel picks. *)
+let kcost_product a b =
+  let spans t =
+    let rec go ~kl ~kr (Tree.Node (_, cs) as n) (l, r) =
+      let sz = Tree.size n in
+      let acc = ((if kl then l + sz else l), if kr then r + sz else r) in
+      let last = List.length cs - 1 in
+      let _, acc =
+        List.fold_left
+          (fun (k, acc) c -> (k + 1, go ~kl:(k > 0) ~kr:(k < last) c acc))
+          (0, acc) cs
+      in
+      acc
+    in
+    go ~kl:true ~kr:true t (0, 0)
+  in
+  let la, ra = spans a and lb, rb = spans b in
+  if la * lb <= ra * rb then la * lb else ra * rb
+
+(* Grafts a copy of one of [t]'s own subtrees back into [t]: as the first
+   child of some node (a repeat only the mirrored, right-path direction
+   sees as a keyroot), as the last child, at a random position, or as the
+   next sibling of a child. Repeated grafts nest repeats inside repeats. *)
+let graft rng t =
+  let rec subtrees acc (Tree.Node (_, cs) as n) = List.fold_left subtrees (n :: acc) cs in
+  let subs = Array.of_list (subtrees [] t) in
+  let s = subs.(Prng.int rng (Array.length subs)) in
+  let target = Prng.int rng (Array.length subs) and mode = Prng.int rng 4 in
+  let k = ref (-1) in
+  let rec go (Tree.Node (x, cs)) =
+    incr k;
+    let here = !k = target in
+    let cs = List.map go cs in
+    if not here then Tree.Node (x, cs)
+    else
+      let at = Prng.int rng (List.length cs + 1) in
+      let cs =
+        match mode with
+        | 0 -> s :: cs
+        | 1 -> cs @ [ s ]
+        | 2 -> List.filteri (fun i _ -> i < at) cs @ (s :: List.filteri (fun i _ -> i >= at) cs)
+        | _ -> List.concat (List.mapi (fun i c -> if i = at then [ c; c ] else [ c ]) cs)
+      in
+      Tree.Node (x, if cs = [] then [ s ] else cs)
+  in
+  go t
+
+let rec planted rng ~grafts t =
+  if grafts = 0 then t
+  else
+    let t' = graft rng t in
+    planted rng ~grafts:(grafts - 1) (if Tree.size t' > 300 then t else t')
+
+let test_flat_planted_repeats () =
+  let rng = Prng.create 0x5eed_c0b1 in
+  let gen () = planted rng ~grafts:(1 + Prng.int rng 12) (gen_tree_sized rng (1 + Prng.int rng 120)) in
+  let iters = max 500 prop_iters and fewer = ref 0 in
+  for i = 1 to iters do
+    let a = gen () and b = gen () in
+    let d = ted a b in
+    let fa = Flat.of_tree a and fb = Flat.of_tree b in
+    let ab = Flat.distance fa fb and ba = Flat.distance fb fa in
+    if ab <> d || ba <> d then
+      Alcotest.failf "pair %d (%s vs %s): flat %d / %d (both orders), reference %d" i
+        (show_tree a) (show_tree b) ab ba d;
+    let cells = Flat.cells fa fb and full = kcost_product a b in
+    if cells > full then Alcotest.failf "pair %d: %d cells above the %d without copies" i cells full;
+    if cells < full then incr fewer
+  done;
+  (* the planted repeats must actually be copied, or the test is vacuous *)
+  if 10 * !fewer < 9 * iters then
+    Alcotest.failf "only %d of %d pairs copied any keyroot" !fewer iters
+
+(* A node with k identical children c = (2 3 4): the root and one c are
+   computed in each direction, the other k − 2 keyroot copies of c are
+   copied, and the leaf keyroots inside them are skipped. *)
+let test_flat_identical_children () =
+  let k = 6 in
+  let c = node 2 [ leaf 3; leaf 4 ] in
+  let t = node 0 (List.init k (fun _ -> c)) in
+  let t' = node 0 (List.init k (fun i -> if i = 3 then node 2 [ leaf 3 ] else c)) in
+  let fa = Flat.of_tree t and fb = Flat.of_tree t in
+  let before = T.ted_snapshot () in
+  checki "self distance" 0 (Flat.distance fa fb);
+  let diff = T.ted_diff ~before ~after:(T.ted_snapshot ()) in
+  checki "one DP" 1 diff.T.dp_runs;
+  checki "kcost product without copies" (((7 * k) - 2) * ((7 * k) - 2)) (kcost_product t t);
+  checki "dp_cells counts the computed keyroots only" (((3 * k) + 5) * ((3 * k) + 5))
+    diff.T.dp_cells;
+  checki "cells agrees with the counter" diff.T.dp_cells (Flat.cells fa fb);
+  checki "a changed copy" (ted t t') (Flat.distance fa (Flat.of_tree t'))
+
 (* canon_id: stable dense ids, equal trees share one id, and the id keys
    the same canonical view [canon] returns. *)
 let test_hashcons_canon_id () =
@@ -555,6 +654,8 @@ let () =
           Alcotest.test_case "strategy on combs" `Quick test_flat_strategy_combs;
           Alcotest.test_case "scratch reuse" `Quick test_flat_scratch_reuse;
           Alcotest.test_case "reserve pre-grows" `Quick test_flat_reserve;
+          Alcotest.test_case "planted repeats (>=500 pairs)" `Quick test_flat_planted_repeats;
+          Alcotest.test_case "identical children copy" `Quick test_flat_identical_children;
         ] );
       ( "ted-properties",
         List.map QCheck_alcotest.to_alcotest
